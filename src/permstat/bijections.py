@@ -3,8 +3,8 @@ and pattern-avoidance predicates.
 
 f inserts a new letter k into a word t of distinct letters (k not in t),
 always producing a word that starts with k. phi folds f over a permutation
-from its rightmost letter to its leftmost. psi reverses a chain of subwords
-determined by the left-to-right maxima.
+from its rightmost letter to its leftmost. psi mirrors the values of a chain
+of subwords determined by the left-to-right maxima.
 """
 from __future__ import annotations
 
@@ -158,22 +158,17 @@ def psi(p: Word) -> Word:
     return out
 
 
-_PATTERNS = {
-    "321": (3, 2, 1),
-    "312": (3, 1, 2),
-    321: (3, 2, 1),
-    312: (3, 1, 2),
-}
+#: for each pattern, the positions of its letters in increasing order of value
+_PATTERN_ORDERS = {"321": (2, 1, 0), "312": (1, 2, 0)}
 
 
 def avoids(p: Word, pattern) -> bool:
     """True iff no index triple i < j < k realizes the pattern's relative order."""
     try:
-        pat = _PATTERNS[pattern]
+        a, b, c = _PATTERN_ORDERS[str(pattern)]
     except KeyError:
         raise ValueError(f"unsupported pattern {pattern!r}") from None
-    order = sorted(range(3), key=lambda i: pat[i])
     for triple in itertools.combinations(p, 3):
-        if triple[order[0]] < triple[order[1]] < triple[order[2]]:
+        if triple[a] < triple[b] < triple[c]:
             return False
     return True

@@ -14,6 +14,7 @@ import sys
 from . import bijections, stats
 from .core import format_word, is_permutation, parse_permutation, parse_word
 from .equidist import (
+    SUITES,
     JointDistribution,
     Source,
     joint_distribution,
@@ -84,7 +85,7 @@ def cmd_map(args) -> int:
     else:
         if args.trace:
             for letters in bijections.psi_chain(p):
-                print("reverse {" + ",".join(str(x) for x in sorted(letters)) + "}")
+                print("mirror {" + ",".join(str(x) for x in sorted(letters)) + "}")
         image = bijections.psi(p)
     if args.format == "json":
         print(json.dumps({"input": format_word(p), "output": format_word(image)}))
@@ -99,7 +100,10 @@ def cmd_verify(args) -> int:
         print(json.dumps(report))
     else:
         for claim in report["claims"]:
-            line = f"{claim['status'].upper():4s} {claim['claim']} [{claim['n_range']}]"
+            line = (
+                f"{claim['status'].upper():4s} {claim['claim']} [{claim['n_range']}]"
+                f" checked={claim['checked']}"
+            )
             if claim["witness"] is not None:
                 line += f" witness={json.dumps(claim['witness'])}"
             print(line)
@@ -178,11 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the exhaustive verification suites")
     p_verify.add_argument("--n", type=int, default=8, help="largest permutation size")
-    p_verify.add_argument(
-        "--suite",
-        default="all",
-        choices=["all", "classic", "theorem1", "lemmas-f", "lemmas-g", "psi", "rawlings", "kratt"],
-    )
+    p_verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
     p_verify.add_argument("--format", choices=FORMATS, default="plain")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -4,17 +4,24 @@ Every theorem of the library is checked here by brute force at desk scale:
 permutation claims over S_n for n up to a cap (default 8 in the suites,
 hard cap 10 unless PERMSTAT_NMAX raises it), word-level lemmas over all
 distinct words of bounded length on a small alphabet.
+
+The permutation claims are data (CLAIMS). One pass per size n enumerates
+S_n once and feeds every selected claim from a table of the current
+permutation's values, each computed on first use.
 """
 from __future__ import annotations
 
 import itertools
 import os
+import sys
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections, stats
-from .core import Word, identity, left_to_right_maxima, restrict_below
-from .errors import ArityMismatch, SizeCapExceeded
+from .core import Word, left_to_right_maxima, restrict_below
+from .errors import ArityMismatch, InvalidSize, SizeCapExceeded
 
 DEFAULT_CAP = 10
 
@@ -28,7 +35,16 @@ def size_cap() -> int:
     raw = os.environ.get("PERMSTAT_NMAX")
     if raw is None:
         return DEFAULT_CAP
+    if not raw.strip().isdecimal():
+        raise InvalidSize(f"PERMSTAT_NMAX={raw!r} is not a non-negative integer")
     return int(raw)
+
+
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise InvalidSize(f"n={n} is negative")
+    if n > size_cap():
+        raise SizeCapExceeded(f"n={n} exceeds the cap {size_cap()}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +73,7 @@ class Source:
 def all_permutations(n: int) -> Iterator[Word]:
     """All of S_n in lexicographic order. Deterministic; partitionable by
     first letter."""
-    if n > size_cap():
-        raise SizeCapExceeded(f"n={n} exceeds the cap {size_cap()}")
+    _check_size(n)
     return iter(itertools.permutations(range(1, n + 1)))
 
 
@@ -83,34 +98,13 @@ class JointDistribution:
         self.total += count
 
 
-def _values(p: Word, names: tuple[str, ...]) -> tuple[int, ...]:
-    return tuple(v for _, v in stats.stat_vector(p, names))
-
-
 def joint_distribution(src: Source | Iterable[Word], names) -> JointDistribution:
     names = tuple(names)
     perms = enumerate_source(src) if isinstance(src, Source) else src
     dist = JointDistribution(names)
     for p in perms:
-        dist.add(_values(p, names))
+        dist.add(tuple(v for _, v in stats.stat_vector(p, names)))
     return dist
-
-
-def joint_distribution_partitioned(src: Source, names) -> JointDistribution:
-    """Same result as joint_distribution, computed as a merge of per-first-letter
-    partial count maps. The merge is key-wise addition, so any merge order works.
-    """
-    names = tuple(names)
-    partials: dict[int, JointDistribution] = {}
-    for p in enumerate_source(src):
-        key = p[0] if p else 0
-        part = partials.setdefault(key, JointDistribution(names))
-        part.add(_values(p, names))
-    merged = JointDistribution(names)
-    for key in sorted(partials):
-        for value, count in partials[key].counts.items():
-            merged.add(value, count)
-    return merged
 
 
 def distributions_equal(
@@ -132,119 +126,207 @@ def distributions_equal(
     return True, None
 
 
-# -- verification suites -------------------------------------------------------
+# -- permutation claims ----------------------------------------------------------
 
 SUITES = ("classic", "theorem1", "lemmas-f", "lemmas-g", "psi", "rawlings", "kratt")
 
+Keys = tuple[str, ...]
 
-@dataclass
-class ClaimResult:
-    claim: str
-    status: str  # "pass" | "fail"
-    n_range: str
-    witness: object = None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-def _claim(claim: str, n_range: str, witness) -> ClaimResult:
-    return ClaimResult(claim, "fail" if witness is not None else "pass", n_range, witness)
+#: values a key can name besides the registry statistics and rmaj:r
+_DERIVED = {
+    "phi": lambda w: bijections.phi(w),
+    "psi": lambda w: bijections.psi(w),
+    "avoids321": lambda w: bijections.avoids(w, "321"),
+    "avoids312": lambda w: bijections.avoids(w, "312"),
+    "rmaj": lambda w: stats.rawlings(w),
+    "|Inv_2|": lambda w: len(stats.inv_set_r(w, 2)),
+    "lrmax": left_to_right_maxima,
+}
 
 
-def _pointwise(claim, n_max, check) -> ClaimResult:
-    """check(p) returns None on success or a witness payload; the witness kept
-    is the one for the lexicographically smallest failing permutation."""
-    witness = None
-    for n in range(n_max + 1):
-        for p in all_permutations(n):
-            bad = check(p)
-            if bad is not None:
-                witness = bad
-                break
-        if witness is not None:
-            break
-    return _claim(claim, f"n<={n_max}", witness)
+class Values(dict):
+    """The values the claims read for one permutation p, each computed once,
+    on first use.
+
+    A key names a value of p ("inv", "psi", "rmaj:2", "rmaj:n"), or of an
+    image of p ("phi.aid" is aid(phi(p)), "psi.psi" is psi(psi(p))); "p" is
+    p itself. Statistics and maps are looked up on their modules at call
+    time, so a patched function sees every call.
+    """
+
+    def __missing__(self, key: str):
+        image, _, name = key.rpartition(".")
+        w = self[image or "p"]
+        if name in _DERIVED:
+            value = _DERIVED[name](w)
+        elif name.startswith("rmaj:"):  # read off the profile (rmaj:1, ..., rmaj:n)
+            r = len(w) if name == "rmaj:n" else int(name[5:])
+            value = self[key.rpartition(":")[0]][min(r, len(w)) - 1] if w else 0
+        else:
+            value = getattr(stats, name)(w)
+        self[key] = value
+        return value
 
 
-def _dist_pair(claim, n_max, names_a, names_b) -> ClaimResult:
-    witness = None
-    for n in range(n_max + 1):
-        da = joint_distribution(Source.all(n), names_a)
-        db = joint_distribution(Source.all(n), names_b)
-        equal, diff = distributions_equal(da, db)
-        if not equal:
-            witness = {"n": n, "value": diff[0], "counts": [diff[1], diff[2]]}
-            break
-    return _claim(claim, f"n<={n_max}", witness)
+#: the values of some keys over the permutations of one size, counted, either
+#: over all of them (None) or over those where a key's value is true
+Tally = tuple[Keys, "str | None"]
 
 
-def _suite_classic(n_max: int) -> list[ClaimResult]:
-    out = []
-    for name in ("exc", "lec", "das"):
-        out.append(_dist_pair(f"eulerian des~{name}", n_max, ["des"], [name]))
-    for name in ("maj", "aid", "mix"):
-        out.append(_dist_pair(f"mahonian inv~{name}", n_max, ["inv"], [name]))
-    witness = None
-    for n in range(1, n_max + 1):
-        base = joint_distribution(Source.all(n), ["inv"])
-        for r in range(1, n + 1):
-            other = joint_distribution(Source.all(n), [f"rmaj:{r}"])
-            equal, diff = distributions_equal(base, other)
+class Pointwise(NamedTuple):
+    """lhs = rhs on every permutation of each size from n_min. The witness is
+    the first failing permutation in enumeration order, which is the
+    lexicographically smallest at the smallest failing size."""
+
+    label: str
+    suite: str
+    lhs: Keys
+    rhs: Keys
+    n_min: int = 0
+    show_values: bool = False
+
+
+class Tallied(NamedTuple):
+    """A claim decided at the end of each size from n_min: conclude(n, counts)
+    returns the witness, or None, from the count maps of tallies(n)."""
+
+    label: str
+    suite: str
+    tallies: Callable[[int], tuple[Tally, ...]]
+    conclude: Callable[[int, dict], object]
+    n_min: int = 0
+
+
+def _equidistributed(label, suite, base: Keys, sides, tag=None, n_min=0) -> Tallied:
+    """base has the joint distribution of every side on each S_n. sides(n)
+    lists (name, keys) in the order checked; when tag is set, the witness
+    names the first differing side under that field."""
+
+    def tallies(n):
+        return tuple((keys, None) for keys in (base, *(keys for _, keys in sides(n))))
+
+    def distribution(keys, counts):
+        counts = counts[keys, None]
+        if len(keys) == 1:  # a single key's values are counted bare
+            counts = {(value,): count for value, count in counts.items()}
+        return JointDistribution(keys, counts, sum(counts.values()))
+
+    def conclude(n, counts):
+        expected = distribution(base, counts)
+        for name, keys in sides(n):
+            equal, diff = distributions_equal(expected, distribution(keys, counts))
             if not equal:
-                witness = {"n": n, "r": r, "value": diff[0], "counts": [diff[1], diff[2]]}
-                break
-        if witness is not None:
-            break
-    out.append(_claim("mahonian inv~rmaj:r (all r)", f"n<={n_max}", witness))
-    return out
-
-
-_THEOREM1_LHS = ("ini", "aix", "des", "aid")
-_THEOREM1_RHS = ("ini", "pix", "lec", "inv")
-
-
-def _theorem1_check(p: Word):
-    if not p:
+                tagged = {} if tag is None else {tag: name}
+                return {"n": n, **tagged, "value": diff[0], "counts": [diff[1], diff[2]]}
         return None
-    left = _values(bijections.phi(p), _THEOREM1_LHS)
-    right = _values(p, _THEOREM1_RHS)
-    if left != right:
-        return {"perm": p, "lhs": left, "rhs": right}
-    return None
+
+    return Tallied(label, suite, tallies, conclude, n_min)
 
 
-def _suite_theorem1(n_max: int) -> list[ClaimResult]:
-    out = [
-        _pointwise("theorem1 (ini,aix,des,aid) phi = (ini,pix,lec,inv)", n_max, _theorem1_check),
-        _pointwise(
-            "lemma1 ini phi = ini",
-            n_max,
-            lambda p: None if not p or stats.ini(bijections.phi(p)) == stats.ini(p) else {"perm": p},
-        ),
-        _pointwise(
-            "lemma3 aid phi = inv",
-            n_max,
-            lambda p: None if stats.aid(bijections.phi(p)) == stats.inv(p) else {"perm": p},
-        ),
-    ]
-    witness = None
-    for n in range(n_max + 1):
-        da = joint_distribution(Source.all(n), ["fix", "exc", "maj"])
-        db = joint_distribution(Source.all(n), ["pix", "lec", "inv"])
-        dc = joint_distribution(Source.all(n), ["aix", "des", "aid"])
-        for label, other in (("pix,lec,inv", db), ("aix,des,aid", dc)):
-            equal, diff = distributions_equal(da, other)
-            if not equal:
-                witness = {"n": n, "tuple": label, "value": diff[0], "counts": [diff[1], diff[2]]}
-                break
-        if witness is not None:
-            break
-    out.append(
-        _claim("triple (fix,exc,maj)~(pix,lec,inv)~(aix,des,aid)", f"n<={n_max}", witness)
-    )
+def _pair(label: str, suite: str, base: Keys, other: Keys) -> Tallied:
+    return _equidistributed(label, suite, base, lambda n: ((None, other),))
+
+
+def _catalan(n: int) -> int:
+    out = 1
+    for i in range(n):
+        out = out * 2 * (2 * i + 1) // (i + 2)
     return out
+
+
+_AVOID_321: Tally = (("p",), "avoids321")
+_AVOID_312: Tally = (("p",), "avoids312")
+_PSI_OF_AVOID_321: Tally = (("psi",), "avoids321")
+
+
+def _catalan_sizes(n: int, counts: dict):
+    sizes = [len(counts[_AVOID_321]), len(counts[_AVOID_312])]
+    if sizes == [_catalan(n)] * 2:
+        return None
+    return {"n": n, "sizes": sizes, "catalan": _catalan(n)}
+
+
+def _psi_onto(n: int, counts: dict):
+    image, target = set(counts[_PSI_OF_AVOID_321]), set(counts[_AVOID_312])
+    return None if image == target else {"n": n, "missing": sorted(target - image)[:3]}
+
+
+_THEOREM1 = ("phi.ini", "phi.aix", "phi.des", "phi.aid"), ("ini", "pix", "lec", "inv")
+_TRIPLE = ("pix,lec,inv", ("pix", "lec", "inv")), ("aix,des,aid", ("aix", "des", "aid"))
+
+CLAIMS = (
+    *(_pair(f"eulerian des~{s}", "classic", ("des",), (s,)) for s in ("exc", "lec", "das")),
+    *(_pair(f"mahonian inv~{s}", "classic", ("inv",), (s,)) for s in ("maj", "aid", "mix")),
+    _equidistributed(
+        "mahonian inv~rmaj:r (all r)", "classic", ("inv",),
+        lambda n: [(r, (f"rmaj:{r}",)) for r in range(1, n + 1)], tag="r", n_min=1,
+    ),
+    Pointwise("theorem1 (ini,aix,des,aid) phi = (ini,pix,lec,inv)", "theorem1", *_THEOREM1,
+              n_min=1, show_values=True),
+    Pointwise("lemma1 ini phi = ini", "theorem1", ("phi.ini",), ("ini",), n_min=1),
+    Pointwise("lemma3 aid phi = inv", "theorem1", ("phi.aid",), ("inv",)),
+    _equidistributed("triple (fix,exc,maj)~(pix,lec,inv)~(aix,des,aid)", "theorem1",
+                     ("fix", "exc", "maj"), lambda n: _TRIPLE, tag="tuple"),
+    Pointwise("psi involution", "psi", ("psi.psi",), ("p",)),
+    Pointwise("psi theorem (das,mix) psi = (des,inv)", "psi", ("psi.das", "psi.mix"),
+              ("des", "inv"), n_min=1),
+    Pointwise("psi swaps mix and inv", "psi", ("psi.mix", "psi.inv"), ("inv", "mix"), n_min=1),
+    Pointwise("psi preserves left-to-right maxima", "psi", ("psi.lrmax",), ("lrmax",)),
+    Pointwise("rmaj:1 = maj", "rawlings", ("rmaj:1",), ("maj",)),
+    Pointwise("rmaj:n = inv", "rawlings", ("rmaj:n",), ("inv",), n_min=1),
+    Pointwise("|Inv_2| = ides", "rawlings", ("|Inv_2|",), ("ides",)),
+    _pair("(ides,rmaj:2)~(exc,maj)", "rawlings", ("ides", "rmaj:2"), ("exc", "maj")),
+    Tallied("avoidance classes have Catalan size", "kratt",
+            lambda n: (_AVOID_321, _AVOID_312), _catalan_sizes),
+    Tallied("psi maps 321-avoiders onto 312-avoiders", "kratt",
+            lambda n: (_PSI_OF_AVOID_321, _AVOID_312), _psi_onto),
+)
+
+
+def _run(claims, n_max: int) -> dict:
+    """Check claims on S_0..S_n_max with one enumeration of each S_n.
+
+    Returns claim -> (witness, checked), where checked counts the
+    permutations examined up to the witness, or all of them. Joint
+    distributions stream into per-n count maps, one per distinct tally,
+    so nothing outlives a size but those maps.
+    """
+    found = {c: (None, 0) for c in claims}
+    for n in range(n_max + 1):
+        live = [c for c in claims if found[c][0] is None and n >= c.n_min]
+        checks = [
+            (c, itemgetter(*c.lhs), itemgetter(*c.rhs)) for c in live if isinstance(c, Pointwise)
+        ]
+        counts = {tally: {} for c in live if isinstance(c, Tallied) for tally in c.tallies(n)}
+        feeds = [(itemgetter(*keys), where, tally) for (keys, where), tally in counts.items()]
+        size = 0
+        for p in all_permutations(n) if live else ():
+            size += 1
+            v = Values(p=p)
+            for check in checks:
+                c, lhs, rhs = check
+                if lhs(v) != rhs(v):
+                    witness = {"perm": p}
+                    if c.show_values:
+                        witness.update(lhs=lhs(v), rhs=rhs(v))
+                    found[c] = (witness, found[c][1] + size)
+                    checks = [x for x in checks if x is not check]
+            for get, where, tally in feeds:
+                if where is None or v[where]:
+                    value = get(v)
+                    tally[value] = tally.get(value, 0) + 1
+            if not checks and not feeds:
+                break
+        for c in live:
+            if found[c][0] is None:
+                witness = c.conclude(n, counts) if isinstance(c, Tallied) else None
+                found[c] = (witness, found[c][1] + size)
+    return found
+
+
+# -- word-level lemmas -----------------------------------------------------------
+
+_WORDS = "words len<=5 on {1..7}, k<=8"
 
 
 def lemma_words(max_len: int = LEMMA_MAX_LEN) -> Iterator[Word]:
@@ -258,50 +340,54 @@ def _lemma_ks(w: Word) -> Iterator[int]:
     return (k for k in range(1, LEMMA_MAX_K + 1) if k not in w)
 
 
-def _g_insert(k: int, t: Word) -> Word:
-    return (k,) + t
+def _first(words: Iterable[Word], check) -> tuple[object, int]:
+    """The first witness check returns over words, or None, with the number
+    of words examined."""
+    examined = 0
+    for w in words:
+        examined += 1
+        witness = check(w)
+        if witness is not None:
+            return witness, examined
+    return None, examined
 
 
-def _insertion_lemmas(
-    insert: Callable[[int, Word], Word],
-    fixstat: Callable[[Word], int],
-    eulstat: Callable[[Word], int],
-    tag: str,
-) -> list[ClaimResult]:
-    """Lemmas 4, 5, 6 and the descent-count monotonicity for an insertion map."""
-    domain = "words len<=5 on {1..7}, k<=8"
-    mono = same_iff = zero_implies = None
+def _insertion_lemmas(insert: Callable[[int, Word], Word], fixstat, eulstat, tag: str) -> list:
+    """Lemmas 4, 5, 6 and the descent-count monotonicity for an insertion map.
+    Lemma 4, 5 and monotonicity share one pass over the words; each witness
+    is kept with the number of words examined when it was found."""
+    found: dict[str, tuple[dict, int]] = {}
+    words = 0
     for t in lemma_words():
+        words += 1
         et, ft = eulstat(t), fixstat(t)
         for k in _lemma_ks(t):
             q = insert(k, t)
             eq, fq = eulstat(q), fixstat(q)
-            if mono is None and eq < et:
-                mono = {"k": k, "word": t}
-            if same_iff is None and ((eq == et) != (fq == ft + 1) or (eq > et) != (fq == 0)):
-                same_iff = {"k": k, "word": t, "before": (et, ft), "after": (eq, fq)}
-            if zero_implies is None and ft == 0 and not (fq == 1 and eq == et):
-                zero_implies = {"k": k, "word": t, "after": (eq, fq)}
-        if mono and same_iff and zero_implies:
+            if eq < et:
+                found.setdefault("monotonicity", ({"k": k, "word": t}, words))
+            if (eq == et) != (fq == ft + 1) or (eq > et) != (fq == 0):
+                witness = {"k": k, "word": t, "before": (et, ft), "after": (eq, fq)}
+                found.setdefault("lemma4", (witness, words))
+            if ft == 0 and not (fq == 1 and eq == et):
+                found.setdefault("lemma5", ({"k": k, "word": t, "after": (eq, fq)}, words))
+        if len(found) == 3:
             break
-    delete_second = None
-    for sigma in lemma_words(max_len=4):
+
+    def delete_second(sigma):
         for l in _lemma_ks(sigma):
             t = insert(l, sigma)
             for k in _lemma_ks(t):
-                if fixstat(insert(k, t)) == 0:
-                    if eulstat(insert(k, t)) != 1 + eulstat(insert(k, sigma)):
-                        delete_second = {"k": k, "l": l, "sigma": sigma}
-                        break
-            if delete_second:
-                break
-        if delete_second:
-            break
+                q = insert(k, t)
+                if fixstat(q) == 0 and eulstat(q) != 1 + eulstat(insert(k, sigma)):
+                    return {"k": k, "l": l, "sigma": sigma}
+        return None
+
+    shared = ("monotonicity", "lemma4", "lemma5")
+    sigmas = "sigma len<=4 on {1..7}, k,l<=8"
     return [
-        _claim(f"monotonicity {tag}", domain, mono),
-        _claim(f"lemma4 {tag}", domain, same_iff),
-        _claim(f"lemma5 {tag}", domain, zero_implies),
-        _claim(f"lemma6 {tag}", "sigma len<=4 on {1..7}, k,l<=8", delete_second),
+        *((f"{name} {tag}", _WORDS, *found.get(name, (None, words))) for name in shared),
+        (f"lemma6 {tag}", sigmas, *_first(lemma_words(max_len=4), delete_second)),
     ]
 
 
@@ -309,152 +395,64 @@ def _f_insert_word(k: int, t: Word) -> Word:
     return bijections.f_insert(k, t)[0]
 
 
-def _suite_lemmas_f(n_max: int) -> list[ClaimResult]:
-    lemma2 = None
-    for t in lemma_words():
+def _suite_lemmas_f() -> list[tuple]:
+    def lemma2(t):
         base = stats.aid(t)
         for k in _lemma_ks(t):
             if stats.aid(_f_insert_word(k, t)) != base + len(restrict_below(t, k)):
-                lemma2 = {"k": k, "word": t}
-                break
-        if lemma2:
-            break
-    out = [_claim("lemma2 aid f(k,t) = aid t + |t<k|", "words len<=5 on {1..7}, k<=8", lemma2)]
-    out += _insertion_lemmas(_f_insert_word, stats.aix, stats.des, "f (aix, des)")
-    return out
+                return {"k": k, "word": t}
+        return None
 
-
-def _suite_lemmas_g(n_max: int) -> list[ClaimResult]:
-    return _insertion_lemmas(_g_insert, stats.pix, stats.lec, "g (pix, lec)")
-
-
-def _suite_psi(n_max: int) -> list[ClaimResult]:
     return [
-        _pointwise(
-            "psi involution",
-            n_max,
-            lambda p: None if bijections.psi(bijections.psi(p)) == p else {"perm": p},
-        ),
-        _pointwise(
-            "psi theorem (das,mix) psi = (des,inv)",
-            n_max,
-            lambda p: None
-            if not p or _values(bijections.psi(p), ("das", "mix")) == _values(p, ("des", "inv"))
-            else {"perm": p},
-        ),
-        _pointwise(
-            "psi swaps mix and inv",
-            n_max,
-            lambda p: None
-            if not p
-            or (
-                stats.mix(bijections.psi(p)) == stats.inv(p)
-                and stats.inv(bijections.psi(p)) == stats.mix(p)
-            )
-            else {"perm": p},
-        ),
-        _pointwise(
-            "psi preserves left-to-right maxima",
-            n_max,
-            lambda p: None
-            if left_to_right_maxima(bijections.psi(p)) == left_to_right_maxima(p)
-            else {"perm": p},
-        ),
+        ("lemma2 aid f(k,t) = aid t + |t<k|", _WORDS, *_first(lemma_words(), lemma2)),
+        *_insertion_lemmas(_f_insert_word, stats.aix, stats.des, "f (aix, des)"),
     ]
 
 
-def _suite_rawlings(n_max: int) -> list[ClaimResult]:
-    out = [
-        _pointwise(
-            "rmaj:1 = maj",
-            n_max,
-            lambda p: None if stats.rawlings(p, 1) == stats.maj(p) else {"perm": p},
-        ),
-        _pointwise(
-            "rmaj:n = inv",
-            n_max,
-            lambda p: None
-            if not p or stats.rawlings(p, len(p)) == stats.inv(p)
-            else {"perm": p},
-        ),
-        _pointwise(
-            "|Inv_2| = ides",
-            n_max,
-            lambda p: None if len(stats.inv_set_r(p, 2)) == stats.ides(p) else {"perm": p},
-        ),
-        _dist_pair("(ides,rmaj:2)~(exc,maj)", n_max, ["ides", "rmaj:2"], ["exc", "maj"]),
-    ]
-    return out
+def _suite_lemmas_g() -> list[tuple]:
+    return _insertion_lemmas(lambda k, t: (k,) + t, stats.pix, stats.lec, "g (pix, lec)")
 
 
-def _catalan(n: int) -> int:
-    out = 1
-    for i in range(n):
-        out = out * 2 * (2 * i + 1) // (i + 2)
-    return out
-
-
-def _suite_kratt(n_max: int) -> list[ClaimResult]:
-    sizes = images = None
-    for n in range(n_max + 1):
-        avoid321 = set(enumerate_source(Source.avoiding(n, 321)))
-        avoid312 = set(enumerate_source(Source.avoiding(n, 312)))
-        cat = _catalan(n)
-        if sizes is None and (len(avoid321) != cat or len(avoid312) != cat):
-            sizes = {"n": n, "sizes": [len(avoid321), len(avoid312)], "catalan": cat}
-        image = {bijections.psi(p) for p in avoid321}
-        if images is None and image != avoid312:
-            images = {"n": n, "missing": sorted(avoid312 - image)[:3]}
-        if sizes and images:
-            break
-    return [
-        _claim("avoidance classes have Catalan size", f"n<={n_max}", sizes),
-        _claim("psi maps 321-avoiders onto 312-avoiders", f"n<={n_max}", images),
-    ]
-
-
-_SUITE_FUNCS = {
-    "classic": _suite_classic,
-    "theorem1": _suite_theorem1,
-    "lemmas-f": _suite_lemmas_f,
-    "lemmas-g": _suite_lemmas_g,
-    "psi": _suite_psi,
-    "rawlings": _suite_rawlings,
-    "kratt": _suite_kratt,
-}
+_LEMMA_SUITES = {"lemmas-f": _suite_lemmas_f, "lemmas-g": _suite_lemmas_g}
 
 
 def verify_suite(n_max: int, suite: str = "all") -> dict:
     """Run one named suite (or all of them) and return a structured report.
 
-    Failures are data, not exceptions: each claim carries status pass/fail
-    and, on failure, a counterexample payload.
+    Failures are data, not exceptions: each claim carries status pass/fail,
+    the number of permutations or words it examined, and, on failure, a
+    counterexample payload. A claim that examined nothing fails.
     """
-    if n_max > size_cap():
-        raise SizeCapExceeded(f"n={n_max} exceeds the cap {size_cap()}")
+    _check_size(n_max)
     if suite == "all":
-        names = list(SUITES)
-    elif suite in _SUITE_FUNCS:
-        names = [suite]
+        names = SUITES
+    elif suite in SUITES:
+        names = (suite,)
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
-    claims: list[ClaimResult] = []
+    start = time.perf_counter()
+    claims = [c for c in CLAIMS if c.suite in names]
+    found = _run(claims, n_max)
+    results = []  # (claim, n_range, witness, checked)
     for name in names:
-        claims.extend(_SUITE_FUNCS[name](n_max))
+        if name in _LEMMA_SUITES:
+            results += _LEMMA_SUITES[name]()
+        else:
+            results += [(c.label, f"n<={n_max}", *found[c]) for c in claims if c.suite == name]
+    claims = [
+        {"claim": claim, "status": "pass" if witness is None and checked > 0 else "fail",
+         "n_range": n_range, "checked": checked, "witness": _jsonable(witness)}
+        for claim, n_range, witness, checked in results
+    ]
     return {
-        "schema": 1,
+        "schema": 2,
         "suite": suite,
         "n_max": n_max,
-        "passed": all(c.passed for c in claims),
-        "claims": [
-            {
-                "claim": c.claim,
-                "status": c.status,
-                "n_range": c.n_range,
-                "witness": _jsonable(c.witness),
-            }
-            for c in claims
-        ],
+        "cap": size_cap(),
+        "python": sys.version.split()[0],
+        "seconds": round(time.perf_counter() - start, 3),
+        "passed": all(c["status"] == "pass" for c in claims),
+        "claims": claims,
     }
 
 
@@ -463,11 +461,4 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     return obj
-
-
-def mix_identity_check(n_max: int = 10) -> bool:
-    """mix of the identity permutation is 0 for every n up to n_max."""
-    return all(stats.mix(identity(n)) == 0 for n in range(n_max + 1))

@@ -49,6 +49,10 @@ class SizeCapExceeded(PermstatError):
     pass
 
 
+class InvalidSize(PermstatError):
+    """A size n, or the PERMSTAT_NMAX cap, that is not a non-negative integer."""
+
+
 class ArityMismatch(PermstatError):
     pass
 

@@ -229,24 +229,47 @@ def das(p: Word) -> int:
 
 # -- Rawlings major index -----------------------------------------------------
 
-def des_set_r(p: Word, r: int) -> set[int]:
-    """Descents i with p(i) - p(i+1) >= r."""
-    if r < 1:
-        raise InvalidR("r must be >= 1")
-    return {i for i in des_set(p) if p[i - 1] - p[i] >= r}
-
-
 def inv_set_r(p: Word, r: int) -> set[tuple[int, int]]:
-    """Inversions (i, j) with p(i) - p(j) < r."""
+    """Inversions (i, j) with p(i) - p(j) < r: the set definition of the
+    inversion part of rawlings, which the tests check rawlings against."""
     if r < 1:
         raise InvalidR("r must be >= 1")
     return {(i, j) for (i, j) in inv_set(p) if p[i - 1] - p[j - 1] < r}
 
 
-def rawlings(p: Word, r: int) -> int:
-    """r-thresholded major index: r=1 gives maj, r=n gives inv."""
-    _require_permutation(p, f"rmaj:{r}")
-    return sum(des_set_r(p, r)) + len(inv_set_r(p, r))
+def rawlings(p: Word, r: int | None = None) -> int | tuple[int, ...]:
+    """The r-major index: the descents i with p(i) - p(i+1) >= r, summed,
+    plus the inversions (i, j) with p(i) - p(j) < r, counted. rmaj:1 = maj,
+    and rmaj:r = inv for every r >= n.
+
+    With r omitted, the tuple (rmaj:1, ..., rmaj:n) from one pass: raising r
+    by one moves the pairs of gap exactly r from the descent sum to the
+    inversion count (Rawlings, 1981). The inversions of gap g are the
+    values x with x + g to their left, read off the inverse, so one r costs
+    O(n r).
+    """
+    _require_permutation(p, "rmaj" if r is None else f"rmaj:{r}")
+    if r is not None and r < 1:
+        raise InvalidR("r must be >= 1")
+    n = len(p)
+    top = n if r is None else min(r, n)
+    step = [0] * (n + 1)  # step[g] = rmaj:(g+1) - rmaj:g
+    value = 0  # becomes maj = rmaj:1
+    for i in range(1, n):
+        gap = p[i - 1] - p[i]
+        if gap > 0:
+            value += i
+            step[gap] -= i
+    pos = inverse(p)
+    for x, px in enumerate(pos):
+        for g, q in enumerate(pos[x + 1 : x + top], start=1):
+            if q < px:
+                step[g] += 1
+    profile = [value]
+    for g in range(1, top):
+        value += step[g]
+        profile.append(value)
+    return tuple(profile[:n]) if r is None else profile[-1]
 
 
 # -- registry -----------------------------------------------------------------

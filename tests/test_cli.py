@@ -90,7 +90,7 @@ class TestMapCommand:
     def test_psi_trace(self, capsys):
         code, out, _ = run(capsys, "map", "--psi", "312", "--trace")
         assert code == 0
-        assert out.splitlines() == ["reverse {1,2}", "321"]
+        assert out.splitlines() == ["mirror {1,2}", "321"]
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "map", "--phi", "312", "--format", "json")
@@ -116,12 +116,13 @@ class TestVerifyCommand:
         lines = [line for line in out.splitlines() if line]
         assert len(lines) == 4
         assert all(line.startswith("PASS") for line in lines)
+        assert lines[0] == "PASS psi involution [n<=4] checked=34"
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "kratt", "--format", "json")
         assert code == 0
         report = json.loads(out)
-        assert report["passed"] is True and report["schema"] == 1
+        assert report["passed"] is True and report["schema"] == 2
 
     def test_cap_exceeded_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "11", "--suite", "psi")
@@ -143,15 +144,19 @@ class TestVerifyCommand:
             cli.__dict__,
             "verify_suite",
             lambda n, suite: {
-                "schema": 1,
+                "schema": 2,
                 "suite": suite,
                 "n_max": n,
+                "cap": 10,
+                "python": "3.11.7",
+                "seconds": 0.0,
                 "passed": False,
                 "claims": [
                     {
                         "claim": "planted failure",
                         "status": "fail",
                         "n_range": "n<=1",
+                        "checked": 2,
                         "witness": {"perm": [1]},
                     }
                 ],
@@ -159,7 +164,19 @@ class TestVerifyCommand:
         )
         code, out, _ = run(capsys, "verify", "--n", "1")
         assert code == 3
-        assert "FAIL" in out and "witness=" in out
+        assert out == 'FAIL planted failure [n<=1] checked=2 witness={"perm": [1]}\n'
+
+    def test_negative_n_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "-1")
+        assert code == 1 and out == ""
+        assert "n=-1" in err
+
+    @pytest.mark.parametrize("raw", ["abc", "-3"])
+    def test_malformed_cap_is_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("PERMSTAT_NMAX", raw)
+        code, out, err = run(capsys, "verify", "--n", "2", "--suite", "psi")
+        assert code == 1 and out == ""
+        assert f"PERMSTAT_NMAX={raw!r}" in err
 
 
 class TestTableCommand:
@@ -204,6 +221,11 @@ class TestTableCommand:
     def test_cap_exceeded(self, capsys):
         code, _, _ = run(capsys, "table", "--n", "11", "--stats", "des")
         assert code == 2
+
+    def test_negative_n_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "table", "--n", "-2", "--stats", "des")
+        assert code == 1 and out == ""
+        assert "n=-2" in err
 
     def test_deterministic_output(self, capsys):
         outputs = set()

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from permstat import equidist
+from permstat import bijections, equidist
 from permstat.equidist import (
     JointDistribution,
     Source,
@@ -11,11 +11,9 @@ from permstat.equidist import (
     distributions_equal,
     enumerate_source,
     joint_distribution,
-    joint_distribution_partitioned,
-    mix_identity_check,
     verify_suite,
 )
-from permstat.errors import ArityMismatch, SizeCapExceeded
+from permstat.errors import ArityMismatch, InvalidSize, PermstatError, SizeCapExceeded
 
 
 class TestEnumeration:
@@ -48,6 +46,17 @@ class TestEnumeration:
         monkeypatch.setenv("PERMSTAT_NMAX", "11")
         assert next(all_permutations(11)) == tuple(range(1, 12))
 
+    def test_negative_size(self):
+        with pytest.raises(InvalidSize):
+            all_permutations(-1)
+        assert issubclass(InvalidSize, PermstatError)
+
+    @pytest.mark.parametrize("raw", ["abc", "-3"])
+    def test_malformed_cap_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("PERMSTAT_NMAX", raw)
+        with pytest.raises(InvalidSize, match="PERMSTAT_NMAX"):
+            list(all_permutations(2))
+
 
 class TestJointDistribution:
     def test_s3_descents(self):
@@ -63,14 +72,6 @@ class TestJointDistribution:
     def test_accepts_plain_iterable(self):
         dist = joint_distribution([(2, 1), (1, 2)], ["inv"])
         assert dist.counts == {(0,): 1, (1,): 1}
-
-    def test_partitioned_matches_sequential(self):
-        for n in range(7):
-            for names in (["des"], ["des", "inv"], ["fix", "exc", "maj"]):
-                a = joint_distribution(Source.all(n), names)
-                b = joint_distribution_partitioned(Source.all(n), names)
-                equal, witness = distributions_equal(a, b)
-                assert equal and witness is None
 
 
 class TestDistributionsEqual:
@@ -113,7 +114,7 @@ class TestDistributionsEqual:
 class TestVerifySuite:
     def test_all_suites_pass_small(self):
         report = verify_suite(5, "all")
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["passed"] is True
         assert all(c["status"] == "pass" for c in report["claims"])
         assert all(c["witness"] is None for c in report["claims"])
@@ -133,6 +134,37 @@ class TestVerifySuite:
     def test_cap_applies(self):
         with pytest.raises(SizeCapExceeded):
             verify_suite(11)
+
+    def test_negative_size(self):
+        with pytest.raises(InvalidSize):
+            verify_suite(-1)
+
+    def test_schema_2_fields(self):
+        report = verify_suite(4, "all")
+        assert report["cap"] == equidist.size_cap()
+        assert report["python"].count(".") == 2
+        assert report["seconds"] >= 0
+        checked = {c["claim"]: c["checked"] for c in report["claims"]}
+        perms = sum(math.factorial(n) for n in range(5))
+        assert checked["eulerian des~exc"] == perms
+        assert checked["theorem1 (ini,aix,des,aid) phi = (ini,pix,lec,inv)"] == perms - 1
+        assert checked["lemma2 aid f(k,t) = aid t + |t<k|"] == len(list(equidist.lemma_words()))
+
+    def test_pointwise_checked_stops_at_the_witness(self, monkeypatch):
+        real = bijections.psi
+        monkeypatch.setattr(bijections, "psi", lambda p: (1, 2) if p == (2, 1) else real(p))
+        claim = verify_suite(3, "psi")["claims"][0]
+        # S_0, S_1, then (1,2) and the witness (2,1)
+        assert claim["witness"] == {"perm": [2, 1]} and claim["checked"] == 4
+
+    def test_claim_that_checked_nothing_fails(self):
+        report = verify_suite(0, "classic")
+        family = report["claims"][-1]
+        assert family["claim"] == "mahonian inv~rmaj:r (all r)"
+        assert family["checked"] == 0 and family["status"] == "fail"
+        assert family["witness"] is None
+        assert report["passed"] is False
+        assert all(c["status"] == "pass" for c in report["claims"][:-1])
 
     def test_report_is_json_serializable(self):
         import json
@@ -156,7 +188,3 @@ def test_catalan_numbers():
     assert [equidist._catalan(n) for n in range(9)] == [
         1, 1, 2, 5, 14, 42, 132, 429, 1430,
     ]
-
-
-def test_mix_identity_check():
-    assert mix_identity_check(10) is True

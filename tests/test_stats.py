@@ -293,6 +293,18 @@ class TestRawlings:
         with pytest.raises(InvalidR):
             stats.rawlings((1,), 0)
 
+    def test_matches_the_set_definition(self):
+        for n in range(7):
+            for p in all_perms(n):
+                rs = range(1, n + 3)
+                expected = [
+                    sum(i for i in stats.des_set(p) if p[i - 1] - p[i] >= r)
+                    + len(stats.inv_set_r(p, r))
+                    for r in rs
+                ]
+                assert [stats.rawlings(p, r) for r in rs] == expected
+                assert stats.rawlings(p) == tuple(expected[:n])
+
 
 class TestRelabelingInvariance:
     ORDER_STATS = ("des", "inv", "maj", "aid", "lec", "pix", "aix")
