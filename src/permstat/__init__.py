@@ -6,108 +6,23 @@ size n use the letters 1..n. See `permstat.stats` for the statistic registry,
 `permstat.bijections` for phi and psi, and `permstat.equidist` for the
 enumeration and verification engine.
 """
-from .bijections import avoids, f_insert, phi, phi_inverse, psi
-from .core import (
-    LeftToRightMaxima,
-    Word,
-    complement_subword_on,
-    format_word,
-    identity,
-    inverse,
-    left_to_right_maxima,
-    make_permutation,
-    make_word,
-    parse_permutation,
-    parse_word,
-    restrict_above,
-    restrict_below,
-    reverse_subword_on,
-    suffix,
-)
-from .equidist import (
-    JointDistribution,
-    Source,
-    all_permutations,
-    distributions_equal,
-    joint_distribution,
-    verify_suite,
-)
-from .stats import (
-    HookFactorization,
-    REGISTRY,
-    admissible_inversions,
-    ai,
-    aid,
-    aix,
-    das,
-    des,
-    des_set,
-    exc,
-    exc_set,
-    fix,
-    hook_factorization,
-    ides,
-    imaj,
-    ini,
-    inv,
-    inv_set,
-    lec,
-    maj,
-    mix,
-    pix,
-    rawlings,
-    stat_vector,
-)
+from . import bijections, core, equidist, stats
+from .bijections import avoids, f_insert, f_uninsert, phi, phi_inverse, psi
+from .equidist import verify_suite
+from .stats import REGISTRY, hook_factorization
 
 __all__ = [
-    "HookFactorization",
-    "JointDistribution",
-    "LeftToRightMaxima",
     "REGISTRY",
-    "Source",
-    "Word",
-    "admissible_inversions",
-    "ai",
-    "aid",
-    "aix",
-    "all_permutations",
     "avoids",
-    "complement_subword_on",
-    "das",
-    "des",
-    "des_set",
-    "distributions_equal",
-    "exc",
-    "exc_set",
+    "bijections",
+    "core",
+    "equidist",
     "f_insert",
-    "fix",
-    "format_word",
+    "f_uninsert",
     "hook_factorization",
-    "identity",
-    "ides",
-    "imaj",
-    "ini",
-    "inv",
-    "inv_set",
-    "inverse",
-    "joint_distribution",
-    "lec",
-    "left_to_right_maxima",
-    "maj",
-    "make_permutation",
-    "make_word",
-    "mix",
-    "parse_permutation",
-    "parse_word",
     "phi",
     "phi_inverse",
-    "pix",
     "psi",
-    "rawlings",
-    "restrict_above",
-    "restrict_below",
-    "reverse_subword_on",
-    "stat_vector",
-    "suffix",
+    "stats",
     "verify_suite",
 ]

@@ -9,26 +9,14 @@ of subwords determined by the left-to-right maxima.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import Word, complement_subword_on, left_to_right_maxima, split_at_min
 from .errors import InvariantViolation, LetterCollision
 
 
-@dataclass(frozen=True)
-class InsertionStep:
-    """One fired rule of the insertion recursion.
-
-    rule is one of "a", "b", "c", "d", "base"; length is the length of the
-    word the rule was applied to. The last step is always c, d or base; all
-    earlier steps are a or b.
-    """
-
-    rule: str
-    length: int
-
-
-InsertionTrace = tuple[InsertionStep, ...]
+#: the rules fired by one insertion, in order: "a" or "b" steps, then one
+#: closing "c", "d" or "base"
+InsertionTrace = tuple[str, ...]
 
 
 def f_insert(k: int, t: Word) -> tuple[Word, InsertionTrace]:
@@ -45,30 +33,30 @@ def f_insert(k: int, t: Word) -> tuple[Word, InsertionTrace]:
     """
     if k in t:
         raise LetterCollision(k)
-    steps: list[InsertionStep] = []
+    steps: list[str] = []
     # rules a and b recurse on a strict prefix/suffix; accumulate the fixed
     # right parts iteratively instead of recursing.
     tail: Word = ()
     while True:
         if not t:
-            steps.append(InsertionStep("base", 0))
+            steps.append("base")
             out: Word = (k,)
             break
         alpha, m, beta = split_at_min(t)
         if k < m:
-            steps.append(InsertionStep("d", len(t)))
+            steps.append("d")
             out = (k,) + t
             break
         if not alpha:
-            steps.append(InsertionStep("b", len(t)))
+            steps.append("b")
             tail = (m,) + tail
             t = beta
         elif beta:
-            steps.append(InsertionStep("a", len(t)))
+            steps.append("a")
             tail = (m,) + beta + tail
             t = alpha
         else:
-            steps.append(InsertionStep("c", len(t)))
+            steps.append("c")
             out = (k, m) + alpha
             break
     return out + tail, tuple(steps)
@@ -97,7 +85,8 @@ def f_uninsert(q: Word) -> tuple[int, Word]:
 
 
 def phi_with_traces(p: Word) -> tuple[Word, tuple[InsertionTrace, ...]]:
-    """phi plus the insertion trace of every f step, leftmost letter's last."""
+    """Fold f_insert over p from its rightmost letter to its leftmost; return
+    phi(p) and the trace of every insertion, the leftmost letter's last."""
     out: Word = ()
     traces: list[InsertionTrace] = []
     for k in reversed(p):
@@ -107,11 +96,8 @@ def phi_with_traces(p: Word) -> tuple[Word, tuple[InsertionTrace, ...]]:
 
 
 def phi(p: Word) -> Word:
-    """Fold f_insert over p from its rightmost letter to its leftmost."""
-    out: Word = ()
-    for k in reversed(p):
-        out, _ = f_insert(k, out)
-    return out
+    """The bijection phi: phi_with_traces without the traces."""
+    return phi_with_traces(p)[0]
 
 
 def phi_inverse(q: Word) -> Word:

@@ -25,23 +25,14 @@ from .errors import PermstatError, SizeCapExceeded
 
 FORMATS = ("plain", "csv", "json")
 
-#: registry names usable without a parameter, in canonical output order
-DEFAULT_STAT_ORDER = (
-    "des", "exc", "inv", "maj", "fix", "imaj", "ides", "ini",
-    "ai", "aid", "lec", "pix", "aix", "mix", "das",
-)
-
 
 def _default_names(word) -> list[str]:
+    """The registry statistics that apply to word, in registry order."""
     perm = is_permutation(word)
-    names = []
-    for name in DEFAULT_STAT_ORDER:
-        if not perm and stats.REGISTRY[name][1]:
-            continue
-        if name == "ini" and not word:
-            continue
-        names.append(name)
-    return names
+    return [
+        name for name, (_, perm_only) in stats.REGISTRY.items()
+        if (perm or not perm_only) and (word or name != "ini")
+    ]
 
 
 def cmd_stats(args) -> int:
@@ -76,8 +67,7 @@ def cmd_map(args) -> int:
         if args.trace:
             image, traces = bijections.phi_with_traces(p)
             for k, trace in zip(reversed(p), traces):
-                rules = ",".join(step.rule for step in trace)
-                print(f"insert {k}: {rules}")
+                print(f"insert {k}: {','.join(trace)}")
         else:
             image = bijections.phi(p)
     elif args.phi_inverse:

@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    DuplicateLetter,
-    EmptyWord,
-    KOutOfRange,
-    NotAPermutation,
-    ParseError,
-)
+from .errors import DuplicateLetter, EmptyWord, NotAPermutation, ParseError
 
 Word = tuple[int, ...]
 
@@ -72,21 +66,9 @@ def inverse(p: Word) -> Word:
     return tuple(q)
 
 
-def suffix(w: Word, k: int) -> Word:
-    """The block of the k rightmost letters of w."""
-    if not 0 <= k <= len(w):
-        raise KOutOfRange(f"k={k} not in [0, {len(w)}]")
-    return w[len(w) - k:]
-
-
 def restrict_below(w: Word, k: int) -> Word:
     """Subsequence of letters < k, order preserved."""
     return tuple(x for x in w if x < k)
-
-
-def restrict_above(w: Word, k: int) -> Word:
-    """Subsequence of letters > k, order preserved. Complement of restrict_below."""
-    return tuple(x for x in w if x > k)
 
 
 def first_letter(w: Word) -> int:
@@ -115,21 +97,6 @@ def split_at_min(w: Word) -> tuple[Word, int, Word]:
     m = min(w)
     i = w.index(m)
     return w[:i], m, w[i + 1:]
-
-
-def reverse_subword_on(w: Word, letters: Iterable[int]) -> Word:
-    """Reverse, in place, the subword of w made of the given letters.
-
-    Positions holding letters in the set receive those same letters in
-    reversed order; every other position is unchanged. An involution for
-    every fixed letter set.
-    """
-    wanted = set(letters)
-    idx = [i for i, x in enumerate(w) if x in wanted]
-    out = list(w)
-    for i, j in zip(idx, reversed(idx)):
-        out[i] = w[j]
-    return tuple(out)
 
 
 def complement_subword_on(w: Word, letters: Iterable[int]) -> Word:

@@ -5,9 +5,10 @@ permutation claims over S_n for n up to a cap (default 8 in the suites,
 hard cap 10 unless PERMSTAT_NMAX raises it), word-level lemmas over all
 distinct words of bounded length on a small alphabet.
 
-The permutation claims are data (CLAIMS). One pass per size n enumerates
-S_n once and feeds every selected claim from a table of the current
-permutation's values, each computed on first use.
+Every claim is a record in CLAIMS. One engine runs them, once over
+S_0..S_n and once over the lemma words: for each size it enumerates the
+objects once and feeds every selected claim from a table of the current
+object's values, each computed on first use.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ DEFAULT_CAP = 10
 LEMMA_ALPHABET = range(1, 8)
 LEMMA_MAX_LEN = 5
 LEMMA_MAX_K = 8
+_LETTERS = range(1, LEMMA_MAX_K + 1)  # the letters a lemma inserts
 
 
 def size_cap() -> int:
@@ -75,6 +77,17 @@ def all_permutations(n: int) -> Iterator[Word]:
     first letter."""
     _check_size(n)
     return iter(itertools.permutations(range(1, n + 1)))
+
+
+def _words(length: int) -> Iterator[Word]:
+    for combo in itertools.combinations(LEMMA_ALPHABET, length):
+        yield from itertools.permutations(combo)
+
+
+def lemma_words(max_len: int = LEMMA_MAX_LEN) -> Iterator[Word]:
+    """All distinct words of length <= max_len over subsets of the lemma
+    alphabet, shortest first."""
+    return itertools.chain.from_iterable(map(_words, range(max_len + 1)))
 
 
 def enumerate_source(src: Source) -> Iterator[Word]:
@@ -126,9 +139,7 @@ def distributions_equal(
     return True, None
 
 
-# -- permutation claims ----------------------------------------------------------
-
-SUITES = ("classic", "theorem1", "lemmas-f", "lemmas-g", "psi", "rawlings", "kratt")
+# -- claims -----------------------------------------------------------------------
 
 Keys = tuple[str, ...]
 
@@ -141,17 +152,21 @@ _DERIVED = {
     "rmaj": lambda w: stats.rawlings(w),
     "|Inv_2|": lambda w: len(stats.inv_set_r(w, 2)),
     "lrmax": left_to_right_maxima,
+    **{f"f{k}": lambda w, k=k: bijections.f_insert(k, w)[0] for k in _LETTERS},
+    **{f"g{k}": lambda w, k=k: (k,) + w for k in _LETTERS},
+    "free": lambda w: [k for k in _LETTERS if k not in w],
 }
 
 
 class Values(dict):
-    """The values the claims read for one permutation p, each computed once,
-    on first use.
+    """The values the claims read for one permutation or word p, each
+    computed once, on first use.
 
-    A key names a value of p ("inv", "psi", "rmaj:2", "rmaj:n"), or of an
-    image of p ("phi.aid" is aid(phi(p)), "psi.psi" is psi(psi(p))); "p" is
-    p itself. Statistics and maps are looked up on their modules at call
-    time, so a patched function sees every call.
+    A key names a value of p ("inv", "psi", "rmaj:2", "f3" is f(3, p), "g3"
+    is the word 3 p, "free" lists the letters of _LETTERS outside p), or of
+    an image of p ("phi.aid" is aid(phi(p)), "f5.f3.des" is
+    des(f(3, f(5, p)))); "p" is p itself. Statistics and maps are looked up
+    on their modules at call time, so a patched function sees every call.
     """
 
     def __missing__(self, key: str):
@@ -195,6 +210,24 @@ class Tallied(NamedTuple):
     tallies: Callable[[int], tuple[Tally, ...]]
     conclude: Callable[[int, dict], object]
     n_min: int = 0
+
+
+_WORDS = "words len<=5 on {1..7}, k<=8"
+_SIGMAS = "sigma len<=4 on {1..7}, k,l<=8"
+
+
+class Lemma(NamedTuple):
+    """fails(v, k) is falsy for every lemma word of length <= n_max and
+    every letter k of _LETTERS outside it, v holding the word's values;
+    otherwise it is the witness. The witness is the first failing word in
+    lemma_words() order, then its smallest failing k."""
+
+    label: str
+    suite: str
+    fails: Callable[[Values, int], object]
+    n_range: str = _WORDS
+    n_max: int = LEMMA_MAX_LEN
+    n_min = 0  # not a field: every lemma starts at the empty word
 
 
 def _equidistributed(label, suite, base: Keys, sides, tag=None, n_min=0) -> Tallied:
@@ -251,6 +284,41 @@ def _psi_onto(n: int, counts: dict):
     return None if image == target else {"n": n, "missing": sorted(target - image)[:3]}
 
 
+def _insertion_lemmas(ins: str, fixstat: str, eulstat: str) -> tuple[Lemma, ...]:
+    """Descent-count monotonicity and lemmas 4, 5, 6 for the insertion map
+    ins ("f" or "g"): how (eulstat, fixstat) moves as letters are inserted."""
+    tag, suite = f"{ins} ({fixstat}, {eulstat})", f"lemmas-{ins}"
+    before = itemgetter(eulstat, fixstat)
+    after = {k: itemgetter(f"{ins}{k}.{eulstat}", f"{ins}{k}.{fixstat}") for k in _LETTERS}
+
+    def monotonicity(v, k):
+        return after[k](v)[0] < v[eulstat] and {"k": k, "word": v["p"]}
+
+    def lemma4(v, k):
+        (et, ft), (eq, fq) = old, new = before(v), after[k](v)
+        return ((eq == et) != (fq == ft + 1) or (eq > et) != (fq == 0)) and {
+            "k": k, "word": v["p"], "before": old, "after": new}
+
+    def lemma5(v, k):
+        return v[fixstat] == 0 and after[k](v) != (v[eulstat], 1) and {
+            "k": k, "word": v["p"], "after": after[k](v)}
+
+    def lemma6(v, l):  # v holds sigma; t = ins(l, sigma), q = ins(k, t)
+        t = f"{ins}{l}."
+        for k in v[t + "free"]:
+            q = f"{t}{ins}{k}."
+            if v[q + fixstat] == 0 and v[q + eulstat] != 1 + after[k](v)[0]:
+                return {"k": k, "l": l, "sigma": v["p"]}
+        return None
+
+    return (
+        Lemma(f"monotonicity {tag}", suite, monotonicity),
+        Lemma(f"lemma4 {tag}", suite, lemma4),
+        Lemma(f"lemma5 {tag}", suite, lemma5),
+        Lemma(f"lemma6 {tag}", suite, lemma6, n_range=_SIGMAS, n_max=LEMMA_MAX_LEN - 1),
+    )
+
+
 _THEOREM1 = ("phi.ini", "phi.aix", "phi.des", "phi.aid"), ("ini", "pix", "lec", "inv")
 _TRIPLE = ("pix,lec,inv", ("pix", "lec", "inv")), ("aix,des,aid", ("aix", "des", "aid"))
 
@@ -267,6 +335,10 @@ CLAIMS = (
     Pointwise("lemma3 aid phi = inv", "theorem1", ("phi.aid",), ("inv",)),
     _equidistributed("triple (fix,exc,maj)~(pix,lec,inv)~(aix,des,aid)", "theorem1",
                      ("fix", "exc", "maj"), lambda n: _TRIPLE, tag="tuple"),
+    Lemma("lemma2 aid f(k,t) = aid t + |t<k|", "lemmas-f", lambda v, k: (
+        v[f"f{k}.aid"] != v["aid"] + len(restrict_below(v["p"], k)) and {"k": k, "word": v["p"]})),
+    *_insertion_lemmas("f", "aix", "des"),
+    *_insertion_lemmas("g", "pix", "lec"),
     Pointwise("psi involution", "psi", ("psi.psi",), ("p",)),
     Pointwise("psi theorem (das,mix) psi = (des,inv)", "psi", ("psi.das", "psi.mix"),
               ("des", "inv"), n_min=1),
@@ -283,32 +355,51 @@ CLAIMS = (
 )
 
 
-def _run(claims, n_max: int) -> dict:
-    """Check claims on S_0..S_n_max with one enumeration of each S_n.
+SUITES = tuple(dict.fromkeys(c.suite for c in CLAIMS))
 
-    Returns claim -> (witness, checked), where checked counts the
-    permutations examined up to the witness, or all of them. Joint
-    distributions stream into per-n count maps, one per distinct tally,
-    so nothing outlives a size but those maps.
+
+def _check(c: Pointwise | Lemma) -> Callable[[Values], object]:
+    """v -> c's witness on the object whose values v holds, or a falsy value."""
+    if isinstance(c, Lemma):
+        def fails(v):
+            for k in v["free"]:
+                witness = c.fails(v, k)
+                if witness:
+                    return witness
+            return None
+
+        return fails
+    lhs, rhs = itemgetter(*c.lhs), itemgetter(*c.rhs)
+    if c.show_values:
+        return lambda v: lhs(v) != rhs(v) and {"perm": v["p"], "lhs": lhs(v), "rhs": rhs(v)}
+    return lambda v: lhs(v) != rhs(v) and {"perm": v["p"]}
+
+
+def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]]) -> dict:
+    """Check claims on the objects of sizes 0..n_max, enumerating those of
+    each size once, in the order objects(n) yields them. A claim is checked
+    from its n_min, and up to its own n_max where it has one.
+
+    Returns claim -> (witness, checked), where checked counts the objects
+    examined up to the witness, or all of them. Joint distributions stream
+    into per-n count maps, one per distinct tally, so nothing outlives a
+    size but those maps.
     """
     found = {c: (None, 0) for c in claims}
     for n in range(n_max + 1):
-        live = [c for c in claims if found[c][0] is None and n >= c.n_min]
-        checks = [
-            (c, itemgetter(*c.lhs), itemgetter(*c.rhs)) for c in live if isinstance(c, Pointwise)
-        ]
+        live = [c for c in claims
+                if found[c][0] is None and c.n_min <= n <= getattr(c, "n_max", n)]
+        checks = [(c, _check(c)) for c in live if not isinstance(c, Tallied)]
         counts = {tally: {} for c in live if isinstance(c, Tallied) for tally in c.tallies(n)}
         feeds = [(itemgetter(*keys), where, tally) for (keys, where), tally in counts.items()]
         size = 0
-        for p in all_permutations(n) if live else ():
+        for p in objects(n) if live else ():
             size += 1
             v = Values(p=p)
             for check in checks:
-                c, lhs, rhs = check
-                if lhs(v) != rhs(v):
-                    witness = {"perm": p}
-                    if c.show_values:
-                        witness.update(lhs=lhs(v), rhs=rhs(v))
+                c, fails = check
+                witness = fails(v)
+                if witness:
                     found[c] = (witness, found[c][1] + size)
                     checks = [x for x in checks if x is not check]
             for get, where, tally in feeds:
@@ -322,98 +413,6 @@ def _run(claims, n_max: int) -> dict:
                 witness = c.conclude(n, counts) if isinstance(c, Tallied) else None
                 found[c] = (witness, found[c][1] + size)
     return found
-
-
-# -- word-level lemmas -----------------------------------------------------------
-
-_WORDS = "words len<=5 on {1..7}, k<=8"
-
-
-def lemma_words(max_len: int = LEMMA_MAX_LEN) -> Iterator[Word]:
-    """All distinct words of length <= max_len over subsets of the lemma alphabet."""
-    for length in range(max_len + 1):
-        for combo in itertools.combinations(LEMMA_ALPHABET, length):
-            yield from itertools.permutations(combo)
-
-
-def _lemma_ks(w: Word) -> Iterator[int]:
-    return (k for k in range(1, LEMMA_MAX_K + 1) if k not in w)
-
-
-def _first(words: Iterable[Word], check) -> tuple[object, int]:
-    """The first witness check returns over words, or None, with the number
-    of words examined."""
-    examined = 0
-    for w in words:
-        examined += 1
-        witness = check(w)
-        if witness is not None:
-            return witness, examined
-    return None, examined
-
-
-def _insertion_lemmas(insert: Callable[[int, Word], Word], fixstat, eulstat, tag: str) -> list:
-    """Lemmas 4, 5, 6 and the descent-count monotonicity for an insertion map.
-    Lemma 4, 5 and monotonicity share one pass over the words; each witness
-    is kept with the number of words examined when it was found."""
-    found: dict[str, tuple[dict, int]] = {}
-    words = 0
-    for t in lemma_words():
-        words += 1
-        et, ft = eulstat(t), fixstat(t)
-        for k in _lemma_ks(t):
-            q = insert(k, t)
-            eq, fq = eulstat(q), fixstat(q)
-            if eq < et:
-                found.setdefault("monotonicity", ({"k": k, "word": t}, words))
-            if (eq == et) != (fq == ft + 1) or (eq > et) != (fq == 0):
-                witness = {"k": k, "word": t, "before": (et, ft), "after": (eq, fq)}
-                found.setdefault("lemma4", (witness, words))
-            if ft == 0 and not (fq == 1 and eq == et):
-                found.setdefault("lemma5", ({"k": k, "word": t, "after": (eq, fq)}, words))
-        if len(found) == 3:
-            break
-
-    def delete_second(sigma):
-        for l in _lemma_ks(sigma):
-            t = insert(l, sigma)
-            for k in _lemma_ks(t):
-                q = insert(k, t)
-                if fixstat(q) == 0 and eulstat(q) != 1 + eulstat(insert(k, sigma)):
-                    return {"k": k, "l": l, "sigma": sigma}
-        return None
-
-    shared = ("monotonicity", "lemma4", "lemma5")
-    sigmas = "sigma len<=4 on {1..7}, k,l<=8"
-    return [
-        *((f"{name} {tag}", _WORDS, *found.get(name, (None, words))) for name in shared),
-        (f"lemma6 {tag}", sigmas, *_first(lemma_words(max_len=4), delete_second)),
-    ]
-
-
-def _f_insert_word(k: int, t: Word) -> Word:
-    return bijections.f_insert(k, t)[0]
-
-
-def _suite_lemmas_f() -> list[tuple]:
-    def lemma2(t):
-        base = stats.aid(t)
-        for k in _lemma_ks(t):
-            if stats.aid(_f_insert_word(k, t)) != base + len(restrict_below(t, k)):
-                return {"k": k, "word": t}
-        return None
-
-    return [
-        ("lemma2 aid f(k,t) = aid t + |t<k|", _WORDS, *_first(lemma_words(), lemma2)),
-        *_insertion_lemmas(_f_insert_word, stats.aix, stats.des, "f (aix, des)"),
-    ]
-
-
-def _suite_lemmas_g() -> list[tuple]:
-    return _insertion_lemmas(lambda k, t: (k,) + t, stats.pix, stats.lec, "g (pix, lec)")
-
-
-_LEMMA_SUITES = {"lemmas-f": _suite_lemmas_f, "lemmas-g": _suite_lemmas_g}
 
 
 def verify_suite(n_max: int, suite: str = "all") -> dict:
@@ -432,17 +431,14 @@ def verify_suite(n_max: int, suite: str = "all") -> dict:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     start = time.perf_counter()
     claims = [c for c in CLAIMS if c.suite in names]
-    found = _run(claims, n_max)
-    results = []  # (claim, n_range, witness, checked)
-    for name in names:
-        if name in _LEMMA_SUITES:
-            results += _LEMMA_SUITES[name]()
-        else:
-            results += [(c.label, f"n<={n_max}", *found[c]) for c in claims if c.suite == name]
+    found = _run([c for c in claims if not isinstance(c, Lemma)], n_max, all_permutations)
+    found |= _run([c for c in claims if isinstance(c, Lemma)], LEMMA_MAX_LEN, _words)
     claims = [
-        {"claim": claim, "status": "pass" if witness is None and checked > 0 else "fail",
-         "n_range": n_range, "checked": checked, "witness": _jsonable(witness)}
-        for claim, n_range, witness, checked in results
+        {"claim": c.label, "status": "pass" if witness is None and checked > 0 else "fail",
+         "n_range": getattr(c, "n_range", f"n<={n_max}"),
+         "checked": checked, "witness": _jsonable(witness)}
+        for c in claims
+        for witness, checked in [found[c]]
     ]
     return {
         "schema": 2,

@@ -15,10 +15,6 @@ class NotAPermutation(PermstatError):
     pass
 
 
-class KOutOfRange(PermstatError):
-    pass
-
-
 class EmptyWord(PermstatError):
     pass
 

@@ -7,6 +7,7 @@ they demand a genuine permutation of 1..n.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -234,7 +235,8 @@ def inv_set_r(p: Word, r: int) -> set[tuple[int, int]]:
     inversion part of rawlings, which the tests check rawlings against."""
     if r < 1:
         raise InvalidR("r must be >= 1")
-    return {(i, j) for (i, j) in inv_set(p) if p[i - 1] - p[j - 1] < r}
+    pairs = itertools.combinations(enumerate(p, start=1), 2)
+    return {(i, j) for (i, x), (j, y) in pairs if 0 < x - y < r}
 
 
 def rawlings(p: Word, r: int | None = None) -> int | tuple[int, ...]:

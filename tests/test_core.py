@@ -5,13 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as hyp
 
 from permstat import core
-from permstat.errors import (
-    DuplicateLetter,
-    EmptyWord,
-    KOutOfRange,
-    NotAPermutation,
-    ParseError,
-)
+from permstat.errors import DuplicateLetter, EmptyWord, NotAPermutation, ParseError
 
 
 def distinct_words(max_len=5, max_letter=9):
@@ -60,29 +54,10 @@ class TestInverse:
 
 
 class TestSubwords:
-    def test_suffix(self):
-        w = (2, 5, 8, 9, 6, 3, 7, 1, 4)
-        assert core.suffix(w, 2) == (1, 4)
-        assert core.suffix(w, 0) == ()
-        assert core.suffix(w, len(w)) == w
-
-    def test_suffix_out_of_range(self):
-        with pytest.raises(KOutOfRange):
-            core.suffix((1, 2), 3)
-        with pytest.raises(KOutOfRange):
-            core.suffix((1, 2), -1)
-
     def test_restrict_below(self):
         assert core.restrict_below((3, 1, 2), 3) == (1, 2)
         assert core.restrict_below((3, 2, 1), 1) == ()
         assert core.restrict_below((3, 2, 1), 10) == (3, 2, 1)
-
-    def test_restrict_above_is_complement(self):
-        w = (2, 5, 8, 9, 6, 3, 7, 1, 4)
-        for k in range(11):
-            below = core.restrict_below(w, k)
-            above = core.restrict_above(w, k)
-            assert sorted(below + above + ((k,) if k in w else ())) == sorted(w)
 
     @given(distinct_words(), hyp.integers(min_value=0, max_value=10))
     def test_restriction_interleave_reconstructs(self, w, k):
@@ -112,16 +87,6 @@ class TestLeftToRightMaxima:
 
 
 class TestSubwordFlips:
-    def test_reverse_example(self):
-        assert core.reverse_subword_on((3, 2, 1), {2, 1}) == (3, 1, 2)
-
-    def test_reverse_empty_set(self):
-        assert core.reverse_subword_on((3, 1, 2), set()) == (3, 1, 2)
-
-    @given(distinct_words(), hyp.sets(hyp.integers(min_value=1, max_value=9)))
-    def test_reverse_is_involution(self, w, s):
-        assert core.reverse_subword_on(core.reverse_subword_on(w, s), s) == w
-
     @given(distinct_words(), hyp.sets(hyp.integers(min_value=1, max_value=9)))
     def test_complement_is_involution(self, w, s):
         assert core.complement_subword_on(core.complement_subword_on(w, s), s) == w

@@ -1,8 +1,11 @@
 """Planted defects: each test breaks one map or statistic on chosen
-permutations and pins the exact witness every claim of a real suite reports.
+permutations or words and pins the exact witness every claim of a real
+suite reports.
 
-A planted function evaluates the real one on a substitute permutation of
-the same size, so it keeps the real function's signature and return type.
+A planted function evaluates the real one on substitute arguments (a
+permutation or word with the same letters, or for f_insert a (k, t) pair
+with the same letters), so it keeps the real function's signature and
+return type.
 """
 from permstat import bijections, stats
 from permstat.equidist import verify_suite
@@ -98,3 +101,98 @@ def test_kratt_missing_images(monkeypatch):
         "avoidance classes have Catalan size": None,
         "psi maps 321-avoiders onto 312-avoiders": {"n": 3, "missing": [[2, 3, 1]]},
     }
+
+
+# -- word-level lemmas -------------------------------------------------------------
+
+WORDS = "words len<=5 on {1..7}, k<=8"
+SIGMAS = "sigma len<=4 on {1..7}, k,l<=8"
+
+
+def lemma_results(suite, n_max=0):
+    """claim -> (checked, witness) of a lemma suite."""
+    report = verify_suite(n_max, suite)
+    return {c["claim"]: (c["checked"], c["witness"]) for c in report["claims"]}
+
+
+def plant_insertion(monkeypatch, chosen):
+    """f_insert(k, t) evaluates the real map on substitute arguments."""
+    real = bijections.f_insert
+    monkeypatch.setattr(bijections, "f_insert", lambda k, t: real(*chosen.get((k, t), (k, t))))
+
+
+def test_lemmas_f_witnesses_under_a_planted_insertion(monkeypatch):
+    # f(3, 12) = 312 instead of 321; f(3, 21) = 123 instead of 312;
+    # f(2, 31) = 213 instead of 231.
+    plant_insertion(monkeypatch, {(3, (1, 2)): (3, (2, 1)), (3, (2, 1)): (1, (2, 3)),
+                                  (2, (3, 1)): (2, (1, 3))})
+    assert lemma_results("lemmas-f") == {
+        "lemma2 aid f(k,t) = aid t + |t<k|": (9, {"k": 3, "word": [1, 2]}),
+        "monotonicity f (aix, des)": (10, {"k": 3, "word": [2, 1]}),
+        "lemma4 f (aix, des)": (
+            9, {"k": 3, "word": [1, 2], "before": [0, 2], "after": [1, 1]}),
+        "lemma5 f (aix, des)": (10, {"k": 3, "word": [2, 1], "after": [0, 3]}),
+        "lemma6 f (aix, des)": (2, {"k": 2, "l": 3, "sigma": [1]}),
+    }
+
+
+def test_lemmas_f_witnesses_under_a_planted_aix(monkeypatch):
+    plant_statistic(monkeypatch, "aix", {(2, 7, 1, 5): (2, 5, 7, 1)})
+    assert lemma_results("lemmas-f") == {
+        "lemma2 aid f(k,t) = aid t + |t<k|": (3620, None),
+        "monotonicity f (aix, des)": (3620, None),
+        "lemma4 f (aix, des)": (
+            133, {"k": 2, "word": [7, 1, 5], "before": [1, 1], "after": [1, 0]}),
+        "lemma5 f (aix, des)": (463, {"k": 3, "word": [2, 7, 1, 5], "after": [2, 0]}),
+        "lemma6 f (aix, des)": (16, {"k": 2, "l": 7, "sigma": [5, 1]}),
+    }
+
+
+def test_lemmas_g_witnesses_under_a_planted_lec(monkeypatch):
+    plant_statistic(monkeypatch, "lec", {(5, 2, 4, 1, 3): (1, 2, 3, 4, 5)})
+    expected = {
+        "monotonicity g (pix, lec)": (271, {"k": 5, "word": [2, 4, 1, 3]}),
+        "lemma4 g (pix, lec)": (
+            271, {"k": 5, "word": [2, 4, 1, 3], "before": [2, 1], "after": [0, 0]}),
+        "lemma5 g (pix, lec)": (1207, {"k": 6, "word": [5, 2, 4, 1, 3], "after": [3, 1]}),
+        "lemma6 g (pix, lec)": (85, {"k": 5, "l": 2, "sigma": [4, 1, 3]}),
+    }
+    assert lemma_results("lemmas-g") == expected
+    assert lemma_results("lemmas-g", n_max=3) == expected  # the lemma words ignore n
+
+
+def test_claims_and_ranges_of_the_whole_run():
+    report = verify_suite(0, "all")
+    perms = "n<=0"
+    assert [(c["claim"], c["n_range"]) for c in report["claims"]] == [
+        ("eulerian des~exc", perms),
+        ("eulerian des~lec", perms),
+        ("eulerian des~das", perms),
+        ("mahonian inv~maj", perms),
+        ("mahonian inv~aid", perms),
+        ("mahonian inv~mix", perms),
+        ("mahonian inv~rmaj:r (all r)", perms),
+        ("theorem1 (ini,aix,des,aid) phi = (ini,pix,lec,inv)", perms),
+        ("lemma1 ini phi = ini", perms),
+        ("lemma3 aid phi = inv", perms),
+        ("triple (fix,exc,maj)~(pix,lec,inv)~(aix,des,aid)", perms),
+        ("lemma2 aid f(k,t) = aid t + |t<k|", WORDS),
+        ("monotonicity f (aix, des)", WORDS),
+        ("lemma4 f (aix, des)", WORDS),
+        ("lemma5 f (aix, des)", WORDS),
+        ("lemma6 f (aix, des)", SIGMAS),
+        ("monotonicity g (pix, lec)", WORDS),
+        ("lemma4 g (pix, lec)", WORDS),
+        ("lemma5 g (pix, lec)", WORDS),
+        ("lemma6 g (pix, lec)", SIGMAS),
+        ("psi involution", perms),
+        ("psi theorem (das,mix) psi = (des,inv)", perms),
+        ("psi swaps mix and inv", perms),
+        ("psi preserves left-to-right maxima", perms),
+        ("rmaj:1 = maj", perms),
+        ("rmaj:n = inv", perms),
+        ("|Inv_2| = ides", perms),
+        ("(ides,rmaj:2)~(exc,maj)", perms),
+        ("avoidance classes have Catalan size", perms),
+        ("psi maps 321-avoiders onto 312-avoiders", perms),
+    ]
