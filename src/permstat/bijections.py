@@ -67,21 +67,26 @@ def f_uninsert(q: Word) -> tuple[int, Word]:
     if not q:
         raise InvariantViolation("cannot un-insert from the empty word")
     k = q[0]
-    rest = q[1:]
-    if not rest:
-        return k, ()
-    m = min(q)
-    if k == m:  # rule d
-        return k, rest
-    pos = q.index(m) + 1  # 1-based position of the minimum
-    if pos == len(q):  # rule b: q = f(k, beta) m
-        _, beta = f_uninsert(q[:-1])
-        return k, (m,) + beta
-    if pos == 2:  # rule c: q = k m alpha, alpha nonempty
-        return k, q[2:] + (m,)
-    # rule a: q = f(k, alpha) m beta with alpha, beta nonempty
-    _, alpha = f_uninsert(q[: pos - 1])
-    return k, alpha + (m,) + q[pos:]
+    # rules a and b wrap an insertion into a strict prefix of q; peel those
+    # iteratively, keeping the letters each puts before and after the result.
+    head: list[int] = []
+    tail: Word = ()
+    while True:
+        m = min(q)
+        if k == m:  # rule d, or q = k alone
+            middle = q[1:]
+            break
+        pos = q.index(m) + 1  # 1-based position of the minimum
+        if pos == len(q):  # rule b: q = f(k, beta) m, t = m beta
+            head.append(m)
+            q = q[:-1]
+        elif pos == 2:  # rule c: q = k m alpha, alpha nonempty
+            middle = q[2:] + (m,)
+            break
+        else:  # rule a: q = f(k, alpha) m beta, t = alpha m beta
+            tail = (m,) + q[pos:] + tail
+            q = q[: pos - 1]
+    return k, (*head, *middle, *tail)
 
 
 def phi_with_traces(p: Word) -> tuple[Word, tuple[InsertionTrace, ...]]:

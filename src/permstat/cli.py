@@ -11,16 +11,9 @@ import io
 import json
 import sys
 
-from . import bijections, stats
+from . import bijections, equidist, stats
 from .core import format_word, is_permutation, parse_permutation, parse_word
-from .equidist import (
-    SUITES,
-    JointDistribution,
-    Source,
-    joint_distribution,
-    size_cap,
-    verify_suite,
-)
+from .equidist import SUITES, joint_distribution, size_cap, verify_suite
 from .errors import PermstatError, SizeCapExceeded
 
 FORMATS = ("plain", "csv", "json")
@@ -105,10 +98,12 @@ _SOURCES = {"all": None, "avoid321": "321", "avoid312": "312"}
 
 def cmd_table(args) -> int:
     names = [n.strip() for n in args.stats.split(",") if n.strip()]
+    perms = equidist.all_permutations(args.n)
     pattern = _SOURCES[args.source]
-    src = Source.all(args.n) if pattern is None else Source.avoiding(args.n, pattern)
-    dist = joint_distribution(src, names)
-    rows = sorted(dist.counts.items())
+    if pattern is not None:
+        perms = (p for p in perms if bijections.avoids(p, pattern))
+    counts = joint_distribution(perms, names)
+    rows = sorted(counts.items())
     if args.format == "json":
         print(
             json.dumps(
@@ -117,7 +112,7 @@ def cmd_table(args) -> int:
                     "n": args.n,
                     "source": args.source,
                     "rows": [[list(value), count] for value, count in rows],
-                    "total": dist.total,
+                    "total": sum(counts.values()),
                 }
             )
         )
@@ -132,19 +127,6 @@ def cmd_table(args) -> int:
         for value, count in rows:
             print(" ".join(str(v) for v in value) + f" -> {count}")
     return 0
-
-
-def parse_table_csv(text: str) -> JointDistribution:
-    """Rebuild a JointDistribution from a table emitted with --format csv."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    names = tuple(header[:-1])
-    dist = JointDistribution(names)
-    for row in reader:
-        if not row:
-            continue
-        dist.add(tuple(int(x) for x in row[:-1]), int(row[-1]))
-    return dist
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,7 @@ new tuple.
 
 >>> make_word([2, 5, 8])
 (2, 5, 8)
->>> inverse(make_permutation([3, 1, 2]))
+>>> inverse(parse_permutation("312"))
 (2, 3, 1)
 """
 from __future__ import annotations
@@ -39,14 +39,6 @@ def make_word(letters: Iterable[int]) -> Word:
         if x in seen:
             raise DuplicateLetter(x)
         seen.add(x)
-    return word
-
-
-def make_permutation(letters: Iterable[int]) -> Word:
-    """Validate that letters are exactly 1..n in some order."""
-    word = tuple(int(x) for x in letters)
-    if sorted(word) != list(range(1, len(word) + 1)):
-        raise NotAPermutation(f"{word} is not a rearrangement of 1..{len(word)}")
     return word
 
 

@@ -16,13 +16,12 @@ import itertools
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections, stats
 from .core import Word, left_to_right_maxima, restrict_below
-from .errors import ArityMismatch, InvalidSize, SizeCapExceeded
+from .errors import InvalidSize, SizeCapExceeded
 
 DEFAULT_CAP = 10
 
@@ -49,32 +48,8 @@ def _check_size(n: int) -> None:
         raise SizeCapExceeded(f"n={n} exceeds the cap {size_cap()}")
 
 
-@dataclass(frozen=True)
-class Source:
-    """A finite set of permutations: all of S_n, a pattern class, or an
-    explicit list."""
-
-    kind: str  # "all" | "avoiding" | "explicit"
-    n: int = 0
-    pattern: str | None = None
-    perms: tuple[Word, ...] = ()
-
-    @classmethod
-    def all(cls, n: int) -> "Source":
-        return cls("all", n=n)
-
-    @classmethod
-    def avoiding(cls, n: int, pattern) -> "Source":
-        return cls("avoiding", n=n, pattern=str(pattern))
-
-    @classmethod
-    def explicit(cls, perms: Iterable[Word]) -> "Source":
-        return cls("explicit", perms=tuple(perms))
-
-
 def all_permutations(n: int) -> Iterator[Word]:
-    """All of S_n in lexicographic order. Deterministic; partitionable by
-    first letter."""
+    """All of S_n in lexicographic order."""
     _check_size(n)
     return iter(itertools.permutations(range(1, n + 1)))
 
@@ -90,56 +65,7 @@ def lemma_words(max_len: int = LEMMA_MAX_LEN) -> Iterator[Word]:
     return itertools.chain.from_iterable(map(_words, range(max_len + 1)))
 
 
-def enumerate_source(src: Source) -> Iterator[Word]:
-    if src.kind == "all":
-        return all_permutations(src.n)
-    if src.kind == "avoiding":
-        return (p for p in all_permutations(src.n) if bijections.avoids(p, src.pattern))
-    return iter(src.perms)
-
-
-@dataclass
-class JointDistribution:
-    """Counts of value tuples of a statistic vector over a permutation set."""
-
-    stat_names: tuple[str, ...]
-    counts: dict[tuple[int, ...], int] = field(default_factory=dict)
-    total: int = 0
-
-    def add(self, value: tuple[int, ...], count: int = 1) -> None:
-        self.counts[value] = self.counts.get(value, 0) + count
-        self.total += count
-
-
-def joint_distribution(src: Source | Iterable[Word], names) -> JointDistribution:
-    names = tuple(names)
-    perms = enumerate_source(src) if isinstance(src, Source) else src
-    dist = JointDistribution(names)
-    for p in perms:
-        dist.add(tuple(v for _, v in stats.stat_vector(p, names)))
-    return dist
-
-
-def distributions_equal(
-    a: JointDistribution, b: JointDistribution
-) -> tuple[bool, tuple | None]:
-    """Compare count maps; on divergence return the lexicographically smallest
-    differing value tuple with both counts."""
-    if len(a.stat_names) != len(b.stat_names):
-        raise ArityMismatch(
-            f"arity {len(a.stat_names)} vs {len(b.stat_names)}"
-        )
-    if a.counts == b.counts:
-        return True, None
-    for value in sorted(set(a.counts) | set(b.counts)):
-        ca = a.counts.get(value, 0)
-        cb = b.counts.get(value, 0)
-        if ca != cb:
-            return False, (value, ca, cb)
-    return True, None
-
-
-# -- claims -----------------------------------------------------------------------
+# -- values and joint distributions ------------------------------------------------
 
 Keys = tuple[str, ...]
 
@@ -182,6 +108,31 @@ class Values(dict):
         self[key] = value
         return value
 
+
+def joint_distribution(perms: Iterable[Word], names) -> dict[tuple, int]:
+    """The joint distribution of the named statistics over perms, any words
+    of distinct letters: a count map {value tuple: count}."""
+    names = tuple(names)
+    for name in names:  # Values would also read other keys, and rmaj:0 as rmaj:n
+        stats.resolve_statistic(name)
+    counts: dict[tuple, int] = {}
+    for p in perms:
+        value = tuple(map(Values(p=p).__getitem__, names))
+        counts[value] = counts.get(value, 0) + 1
+    return counts
+
+
+def distributions_equal(a: dict, b: dict) -> tuple[bool, tuple | None]:
+    """Compare count maps; on divergence return the smallest differing value
+    (a value tuple, for a joint distribution) with both counts."""
+    differ = [v for v in a.keys() | b.keys() if a.get(v, 0) != b.get(v, 0)]
+    if not differ:
+        return True, None
+    value = min(differ)
+    return False, (value, a.get(value, 0), b.get(value, 0))
+
+
+# -- claims -----------------------------------------------------------------------
 
 #: the values of some keys over the permutations of one size, counted, either
 #: over all of them (None) or over those where a key's value is true
@@ -238,19 +189,13 @@ def _equidistributed(label, suite, base: Keys, sides, tag=None, n_min=0) -> Tall
     def tallies(n):
         return tuple((keys, None) for keys in (base, *(keys for _, keys in sides(n))))
 
-    def distribution(keys, counts):
-        counts = counts[keys, None]
-        if len(keys) == 1:  # a single key's values are counted bare
-            counts = {(value,): count for value, count in counts.items()}
-        return JointDistribution(keys, counts, sum(counts.values()))
-
     def conclude(n, counts):
-        expected = distribution(base, counts)
         for name, keys in sides(n):
-            equal, diff = distributions_equal(expected, distribution(keys, counts))
+            equal, diff = distributions_equal(counts[base, None], counts[keys, None])
             if not equal:
                 tagged = {} if tag is None else {tag: name}
-                return {"n": n, **tagged, "value": diff[0], "counts": [diff[1], diff[2]]}
+                value = diff[0] if len(keys) > 1 else (diff[0],)  # one key is counted bare
+                return {"n": n, **tagged, "value": value, "counts": [diff[1], diff[2]]}
         return None
 
     return Tallied(label, suite, tallies, conclude, n_min)

@@ -49,10 +49,6 @@ class InvalidSize(PermstatError):
     """A size n, or the PERMSTAT_NMAX cap, that is not a non-negative integer."""
 
 
-class ArityMismatch(PermstatError):
-    pass
-
-
 class ParseError(PermstatError):
     pass
 

@@ -31,12 +31,6 @@ class HookFactorization:
     pi0: Word
     hooks: tuple[Word, ...]
 
-    def concatenation(self) -> Word:
-        out = self.pi0
-        for h in self.hooks:
-            out = out + h
-        return out
-
 
 # -- classic statistics ------------------------------------------------------
 
@@ -133,14 +127,6 @@ def aid(w: Word) -> int:
 
 
 # -- hook factorization ------------------------------------------------------
-
-def is_hook(w: Word) -> bool:
-    return (
-        len(w) >= 2
-        and w[0] > w[1]
-        and all(w[i] <= w[i + 1] for i in range(1, len(w) - 1))
-    )
-
 
 def hook_factorization(w: Word) -> HookFactorization:
     """Peel the rightmost hook (starting at the rightmost descent) until none remains."""

@@ -108,6 +108,13 @@ class TestPhi:
                 assert bijections.phi_inverse(q) == p
                 assert bijections.phi(bijections.phi_inverse(p)) == p
 
+    def test_inverse_of_a_long_word_within_the_recursion_limit(self):
+        # peeling rules a and b once recursed once per step: 2000 levels here
+        w = tuple(range(2000, 0, -1))
+        pre = bijections.phi_inverse(w)
+        assert pre == (2000, *range(1, 2000))
+        assert bijections.phi(pre) == w
+
     def test_forward_table_oracle(self):
         # phi_inverse agrees with inverting an independently built table
         n = 6

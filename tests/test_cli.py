@@ -1,15 +1,24 @@
+import csv
+import io
 import json
+import math
 
 import pytest
 
-from permstat.cli import main, parse_table_csv
-from permstat.equidist import distributions_equal, joint_distribution, Source
+from permstat.cli import main
+from permstat.equidist import all_permutations, distributions_equal, joint_distribution
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def parse_table_csv(text):
+    """The header and the count map of a table printed with --format csv."""
+    header, *rows = csv.reader(io.StringIO(text))
+    return header, {tuple(int(x) for x in row[:-1]): int(row[-1]) for row in rows}
 
 
 class TestStatsCommand:
@@ -195,13 +204,12 @@ class TestTableCommand:
             capsys, "table", "--n", "5", "--stats", "des,inv", "--format", "csv"
         )
         assert code == 0
-        assert out.splitlines()[0] == "des,inv,count"
-        rebuilt = parse_table_csv(out)
-        direct = joint_distribution(Source.all(5), ["des", "inv"])
+        header, rebuilt = parse_table_csv(out)
+        assert header == ["des", "inv", "count"]
+        direct = joint_distribution(all_permutations(5), ["des", "inv"])
         equal, witness = distributions_equal(rebuilt, direct)
         assert equal and witness is None
-        assert rebuilt.stat_names == ("des", "inv")
-        assert rebuilt.total == 120
+        assert sum(rebuilt.values()) == 120
 
     def test_avoiding_source(self, capsys):
         code, out, _ = run(
@@ -210,6 +218,14 @@ class TestTableCommand:
         )
         assert code == 0
         assert json.loads(out)["total"] == 14
+
+    @pytest.mark.parametrize("source", ["avoid321", "avoid312"])
+    def test_avoiding_sources_have_catalan_totals(self, capsys, source):
+        for n in range(8):
+            code, out, _ = run(capsys, "table", "--n", str(n), "--stats", "des",
+                               "--source", source, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["total"] == math.comb(2 * n, n) // (n + 1)
 
     def test_json_rows_sorted(self, capsys):
         code, out, _ = run(capsys, "table", "--n", "4", "--stats", "maj", "--format", "json")
@@ -226,6 +242,27 @@ class TestTableCommand:
         code, out, err = run(capsys, "table", "--n", "-2", "--stats", "des")
         assert code == 1 and out == ""
         assert "n=-2" in err
+
+    @pytest.mark.parametrize("name", ["foo", "inverse", "phi.des", "rmaj:n", "rmaj:x"])
+    def test_unknown_statistic_is_usage_error(self, capsys, name):
+        code, out, err = run(capsys, "table", "--n", "3", "--stats", f"des,{name}")
+        assert code == 1 and out == ""
+        assert err == f"error: unknown statistic {name!r}\n"
+
+    def test_rmaj_zero_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "table", "--n", "3", "--stats", "rmaj:0")
+        assert code == 1 and out == ""
+        assert err == "error: r must be >= 1\n"
+
+    def test_empty_names(self, capsys):
+        assert run(capsys, "table", "--n", "3", "--stats", "") == (0, " -> 6\n", "")
+        _, expected, _ = run(capsys, "table", "--n", "3", "--stats", "des,inv")
+        assert run(capsys, "table", "--n", "3", "--stats", "des,,inv") == (0, expected, "")
+
+    def test_ini_of_the_empty_permutation_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "table", "--n", "0", "--stats", "ini")
+        assert code == 1 and out == ""
+        assert "empty word" in err
 
     def test_deterministic_output(self, capsys):
         outputs = set()

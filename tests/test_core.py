@@ -32,14 +32,6 @@ class TestConstruction:
         with pytest.raises(ParseError):
             core.make_word([0, 1])
 
-    def test_make_permutation(self):
-        assert core.make_permutation([3, 1, 2]) == (3, 1, 2)
-        assert core.make_permutation([]) == ()
-
-    def test_make_permutation_missing_value(self):
-        with pytest.raises(NotAPermutation):
-            core.make_permutation([1, 3])
-
 
 class TestInverse:
     def test_examples(self):

@@ -3,17 +3,21 @@ import math
 
 import pytest
 
-from permstat import bijections, equidist
+from permstat import bijections, equidist, stats
 from permstat.equidist import (
-    JointDistribution,
-    Source,
     all_permutations,
     distributions_equal,
-    enumerate_source,
     joint_distribution,
     verify_suite,
 )
-from permstat.errors import ArityMismatch, InvalidSize, PermstatError, SizeCapExceeded
+from permstat.errors import (
+    InvalidR,
+    InvalidSize,
+    PermstatError,
+    SizeCapExceeded,
+    UnknownStatistic,
+    WordNotPermutation,
+)
 
 
 class TestEnumeration:
@@ -28,12 +32,14 @@ class TestEnumeration:
         assert perms[-1] == (4, 3, 2, 1)
 
     def test_avoiding_source(self):
-        assert sum(1 for _ in enumerate_source(Source.avoiding(4, 321))) == 14
-        assert sum(1 for _ in enumerate_source(Source.avoiding(4, 312))) == 14
+        for pattern in ("321", "312"):
+            avoiders = [p for p in all_permutations(4) if bijections.avoids(p, pattern)]
+            assert len(avoiders) == 14
+            assert joint_distribution(avoiders, []) == {(): 14}
 
     def test_explicit_source(self):
-        perms = ((2, 1), (1, 2))
-        assert tuple(enumerate_source(Source.explicit(perms))) == perms
+        words = iter([(2, 5), (5, 2), (7,)])  # any words, consumed once
+        assert joint_distribution(words, ["inv", "des"]) == {(0, 0): 2, (1, 1): 1}
 
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
@@ -60,55 +66,64 @@ class TestEnumeration:
 
 class TestJointDistribution:
     def test_s3_descents(self):
-        dist = joint_distribution(Source.all(3), ["des"])
-        assert dist.counts == {(0,): 1, (1,): 4, (2,): 1}
-        assert dist.total == 6
+        dist = joint_distribution(all_permutations(3), ["des"])
+        assert dist == {(0,): 1, (1,): 4, (2,): 1}
+        assert sum(dist.values()) == 6
 
     def test_empty_size(self):
-        dist = joint_distribution(Source.all(0), ["des", "aid"])
-        assert dist.counts == {(0, 0): 1}
-        assert dist.total == 1
+        dist = joint_distribution(all_permutations(0), ["des", "aid"])
+        assert dist == {(0, 0): 1}
 
     def test_accepts_plain_iterable(self):
         dist = joint_distribution([(2, 1), (1, 2)], ["inv"])
-        assert dist.counts == {(0,): 1, (1,): 1}
+        assert dist == {(0,): 1, (1,): 1}
+
+    def test_rmaj_family_shares_one_profile(self, monkeypatch):
+        calls = []
+        real = stats.rawlings
+        monkeypatch.setattr(stats, "rawlings", lambda p, r=None: calls.append(r) or real(p, r))
+        dist = joint_distribution(all_permutations(4), ["rmaj:1", "rmaj:2", "rmaj:9"])
+        assert calls == [None] * 24
+        assert dist == joint_distribution(all_permutations(4), ["maj", "rmaj:2", "inv"])
+
+    @pytest.mark.parametrize(
+        "name, error",
+        [("inverse", UnknownStatistic), ("phi.des", UnknownStatistic),
+         ("rmaj:n", UnknownStatistic), ("lrmax", UnknownStatistic), ("rmaj:0", InvalidR)],
+    )
+    def test_names_are_checked_before_the_pass(self, name, error):
+        with pytest.raises(error):
+            joint_distribution([], ["des", name])
+
+    def test_permutation_only_statistic_on_a_word(self):
+        with pytest.raises(WordNotPermutation):
+            joint_distribution([(2, 5)], ["exc"])
 
 
 class TestDistributionsEqual:
-    def _dist(self, counts, names=("x",)):
-        d = JointDistribution(tuple(names))
-        for value, count in counts.items():
-            d.add(value, count)
-        return d
-
     def test_reflexive_symmetric_transitive(self):
-        a = self._dist({(0,): 1, (1,): 4, (2,): 1})
-        b = self._dist({(1,): 4, (2,): 1, (0,): 1})
-        c = self._dist({(0,): 1, (1,): 4, (2,): 1})
+        a = {(0,): 1, (1,): 4, (2,): 1}
+        b = {(1,): 4, (2,): 1, (0,): 1}
+        c = {(0,): 1, (1,): 4, (2,): 1}
         assert distributions_equal(a, a)[0]
         assert distributions_equal(a, b)[0] == distributions_equal(b, a)[0] is True
         assert distributions_equal(a, b)[0] and distributions_equal(b, c)[0]
         assert distributions_equal(a, c)[0]
 
     def test_witness_is_lexicographically_smallest(self):
-        a = self._dist({(0, 5): 1, (1, 1): 2, (1, 3): 7})
-        b = self._dist({(0, 5): 1, (1, 1): 3, (1, 3): 9})
+        a = {(0, 5): 1, (1, 1): 2, (1, 3): 7}
+        b = {(0, 5): 1, (1, 1): 3, (1, 3): 9}
         equal, witness = distributions_equal(a, b)
         assert not equal
         assert witness == ((1, 1), 2, 3)
 
     def test_missing_key_counts_as_zero(self):
-        a = self._dist({(0,): 1})
-        b = self._dist({(0,): 1, (2,): 4})
+        a = {(0,): 1}
+        b = {(0,): 1, (2,): 4}
         equal, witness = distributions_equal(a, b)
         assert not equal
         assert witness == ((2,), 0, 4)
-
-    def test_arity_mismatch(self):
-        a = JointDistribution(("x",))
-        b = JointDistribution(("x", "y"))
-        with pytest.raises(ArityMismatch):
-            distributions_equal(a, b)
+        assert distributions_equal({(0,): 1, (3,): 0}, {(0,): 1}) == (True, None)
 
 
 class TestVerifySuite:
@@ -170,6 +185,44 @@ class TestVerifySuite:
         import json
 
         json.dumps(verify_suite(3, "kratt"))
+
+
+def eulerian(n):
+    """{(k,): A(n, k)} by A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1)."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [(k + 1) * (row[k] if k < len(row) else 0) + (m - k) * (row[k - 1] if k else 0)
+               for k in range(m)]
+    return {(k,): a for k, a in enumerate(row)}
+
+
+def mahonian(n):
+    """{(j,): [q^j] [1]_q [2]_q ... [n]_q}, where [i]_q = 1 + q + ... + q^(i-1)."""
+    coeffs = [1]
+    for i in range(1, n + 1):
+        coeffs = [sum(coeffs[max(0, j - i + 1):j + 1]) for j in range(len(coeffs) + i - 1)]
+    return {(j,): c for j, c in enumerate(coeffs)}
+
+
+class TestClosedForms:
+    """Marginals over S_n, n <= 7, against closed forms that share no code
+    with the enumerator or the statistics."""
+
+    def test_closed_forms_themselves(self):
+        assert eulerian(4) == {(0,): 1, (1,): 11, (2,): 11, (3,): 1}
+        assert mahonian(3) == {(0,): 1, (1,): 2, (2,): 2, (3,): 1}
+        assert [sum(eulerian(n).values()) for n in range(8)] == [math.factorial(n) for n in range(8)]
+        assert [sum(mahonian(n).values()) for n in range(8)] == [math.factorial(n) for n in range(8)]
+
+    @pytest.mark.parametrize("name", ["des", "exc", "lec", "das"])
+    def test_eulerian(self, name):
+        for n in range(8):
+            assert joint_distribution(all_permutations(n), [name]) == eulerian(n)
+
+    @pytest.mark.parametrize("name", ["inv", "maj", "aid", "mix", "rmaj:2"])
+    def test_mahonian(self, name):
+        for n in range(8):
+            assert joint_distribution(all_permutations(n), [name]) == mahonian(n)
 
 
 class TestLemmaDomain:

@@ -89,6 +89,11 @@ def oracle_das(p):
     return count
 
 
+def is_hook(w):
+    """h(1) > h(2) <= h(3) <= ... <= h(r), r >= 2."""
+    return len(w) >= 2 and w[0] > w[1] and all(a <= b for a, b in zip(w[1:], w[2:]))
+
+
 def brute_force_hook_factorizations(w):
     """All splittings of w into a nondecreasing prefix plus hooks."""
     def hooks_of(rest):
@@ -97,7 +102,7 @@ def brute_force_hook_factorizations(w):
             return
         for cut in range(2, len(rest) + 1):
             h = rest[:cut]
-            if stats.is_hook(h):
+            if is_hook(h):
                 for tail in hooks_of(rest[cut:]):
                     yield (h,) + tail
 
@@ -214,8 +219,8 @@ class TestHookFactorization:
         for w in small_words(max_len=6, alphabet=range(1, 7)):
             hf = stats.hook_factorization(w)
             assert all(hf.pi0[i] <= hf.pi0[i + 1] for i in range(len(hf.pi0) - 1))
-            assert all(stats.is_hook(h) for h in hf.hooks)
-            assert hf.concatenation() == w
+            assert all(is_hook(h) for h in hf.hooks)
+            assert hf.pi0 + sum(hf.hooks, ()) == w
             candidates = brute_force_hook_factorizations(w)
             assert candidates == [(hf.pi0, hf.hooks)]
 
