@@ -8,10 +8,8 @@ of subwords determined by the left-to-right maxima.
 """
 from __future__ import annotations
 
-import itertools
-
 from .core import Word, complement_subword_on, left_to_right_maxima, split_at_min
-from .errors import InvariantViolation, LetterCollision
+from .errors import InvariantViolation, LetterCollision, UnknownPattern
 
 
 #: the rules fired by one insertion, in order: "a" or "b" steps, then one
@@ -149,17 +147,27 @@ def psi(p: Word) -> Word:
     return out
 
 
-#: for each pattern, the positions of its letters in increasing order of value
-_PATTERN_ORDERS = {"321": (2, 1, 0), "312": (1, 2, 0)}
-
-
 def avoids(p: Word, pattern) -> bool:
-    """True iff no index triple i < j < k realizes the pattern's relative order."""
-    try:
-        a, b, c = _PATTERN_ORDERS[str(pattern)]
-    except KeyError:
-        raise ValueError(f"unsupported pattern {pattern!r}") from None
-    for triple in itertools.combinations(p, 3):
-        if triple[a] < triple[b] < triple[c]:
-            return False
-    return True
+    """True iff no index triple i < j < k realizes the pattern's relative order.
+    321: the letters other than left-to-right maxima increase. 312: a stack
+    pass from the right keeps the least letter with a smaller one to its left."""
+    if str(pattern) == "321":
+        top = low = float("-inf")  # the largest letter, the largest non-maximum
+        for x in p:
+            if x > top:
+                top = x
+            elif x < low:
+                return False
+            else:
+                low = x
+        return True
+    if str(pattern) == "312":
+        stack, low = [], float("inf")  # letters seen, increasing leftwards
+        for x in reversed(p):
+            if x > low:
+                return False
+            while stack and stack[-1] > x:
+                low = stack.pop()
+            stack.append(x)
+        return True
+    raise UnknownPattern(f"unsupported pattern {pattern!r}")

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -44,11 +43,9 @@ def cmd_stats(args) -> int:
     if args.format == "json":
         print(json.dumps({"word": format_word(word), "stats": dict(vector)}))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow([name for name, _ in vector])
         writer.writerow([value for _, value in vector])
-        sys.stdout.write(buf.getvalue())
     else:
         print(" ".join(f"{name}={value}" for name, value in vector))
     return 0
@@ -105,24 +102,16 @@ def cmd_table(args) -> int:
     counts = joint_distribution(perms, names)
     rows = sorted(counts.items())
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "stats": names,
-                    "n": args.n,
-                    "source": args.source,
-                    "rows": [[list(value), count] for value, count in rows],
-                    "total": sum(counts.values()),
-                }
-            )
-        )
+        print(json.dumps({
+            "stats": names, "n": args.n, "source": args.source,
+            "rows": [[list(value), count] for value, count in rows],
+            "total": sum(counts.values()),
+        }))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(names + ["count"])
         for value, count in rows:
             writer.writerow(list(value) + [count])
-        sys.stdout.write(buf.getvalue())
     else:
         for value, count in rows:
             print(" ".join(str(v) for v in value) + f" -> {count}")

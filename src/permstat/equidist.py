@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections, stats
 from .core import Word, left_to_right_maxima, restrict_below
-from .errors import InvalidSize, SizeCapExceeded
+from .errors import InvalidSize, SizeCapExceeded, WordNotPermutation
 
 DEFAULT_CAP = 10
 
@@ -102,7 +102,10 @@ class Values(dict):
             value = _DERIVED[name](w)
         elif name.startswith("rmaj:"):  # read off the profile (rmaj:1, ..., rmaj:n)
             r = len(w) if name == "rmaj:n" else int(name[5:])
-            value = self[key.rpartition(":")[0]][min(r, len(w)) - 1] if w else 0
+            try:
+                value = self[key.rpartition(":")[0]][min(r, len(w)) - 1] if w else 0
+            except WordNotPermutation:  # the profile names the family, not rmaj:r
+                raise WordNotPermutation(name) from None
         else:
             value = getattr(stats, name)(w)
         self[key] = value

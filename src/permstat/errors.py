@@ -41,6 +41,10 @@ class LetterCollision(PermstatError):
         super().__init__(f"letter {letter} already present in the word")
 
 
+class UnknownPattern(PermstatError, ValueError):
+    pass
+
+
 class SizeCapExceeded(PermstatError):
     pass
 

@@ -8,16 +8,10 @@ they demand a genuine permutation of 1..n.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .core import (
-    Word,
-    first_letter,
-    inverse,
-    is_permutation,
-    left_to_right_maxima,
-    split_at_min,
-)
+from .core import Word, first_letter, inverse, is_permutation, split_at_min
 from .errors import InvalidR, UnknownStatistic, WordNotPermutation
 
 
@@ -48,19 +42,16 @@ def maj(w: Word) -> int:
     return sum(des_set(w))
 
 
-def inv_set(w: Word) -> set[tuple[int, int]]:
-    """Pairs of positions (i, j), i < j, with w(i) > w(j)."""
-    n = len(w)
-    return {
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if w[i - 1] > w[j - 1]
-    }
-
-
 def inv(w: Word) -> int:
-    return len(inv_set(w))
+    """Pairs i < j with w(i) > w(j): from the right, each letter adds the
+    number of smaller letters seen, bisected in their sorted list."""
+    seen: list[int] = []
+    count = 0
+    for x in reversed(w):
+        k = bisect_left(seen, x)
+        count += k
+        seen.insert(k, x)
+    return count
 
 
 def ini(w: Word) -> int:
@@ -101,24 +92,24 @@ def ides(p: Word) -> int:
 
 # -- admissible inversions ---------------------------------------------------
 
-def admissible_inversions(w: Word) -> set[tuple[int, int]]:
+def ai(w: Word) -> int:
     """Inversions (i, j) with w(j) < w(j+1), or w(j) > w(k) for some i < k < j.
 
-    At the right boundary (j = |w|) the first clause is false: there is no
-    letter beyond the end.
+    ai = inv - sum (j - 1 - L(j)) over j = |w| and the descents j, where L(j)
+    is the nearest position left of j with a smaller letter (0 if none): the
+    letters strictly between are larger than w(j), so exactly the inversions
+    (i, j) with i > L(j) are inadmissible. A monotone stack finds each L(j).
     """
     n = len(w)
-    out: set[tuple[int, int]] = set()
-    for i, j in inv_set(w):
-        if j < n and w[j - 1] < w[j]:
-            out.add((i, j))
-        elif any(w[j - 1] > w[k - 1] for k in range(i + 1, j)):
-            out.add((i, j))
-    return out
-
-
-def ai(w: Word) -> int:
-    return len(admissible_inversions(w))
+    left = [0]  # positions of increasing letters; 0 lies below every letter
+    inadmissible = 0
+    for j, x in enumerate(w, start=1):
+        while left[-1] and w[left[-1] - 1] > x:
+            left.pop()
+        if j == n or x > w[j]:
+            inadmissible += j - 1 - left[-1]
+        left.append(j)
+    return inv(w) - inadmissible
 
 
 def aid(w: Word) -> int:
@@ -178,21 +169,25 @@ def aix(w: Word) -> int:
 def mix(p: Word) -> int:
     """Inversions topped by a left-to-right maximum, plus non-inversions
     (i, j) dominated by some earlier letter p(k) > p(j), k < i.
+
+    Per j, bisection counts the left-to-right maxima above p(j) before j (the
+    first kind) and the k letters below p(j) left of j. The a - 1 letters left
+    of a, the first such maximum, are below p(j): the second kind is k - a + 1.
     """
     _require_permutation(p, "mix")
-    n = len(p)
-    prefix_max = [0] * (n + 1)  # prefix_max[i] = max of p(1..i)
-    for i in range(1, n + 1):
-        prefix_max[i] = max(prefix_max[i - 1], p[i - 1])
+    seen: list[int] = []  # letters left of j, sorted
+    maxima: list[int] = []  # the left-to-right maxima, increasing
+    positions: list[int] = []  # their positions
     count = 0
-    for i in range(1, n + 1):
-        lr_max = p[i - 1] > prefix_max[i - 1]
-        for j in range(i + 1, n + 1):
-            if p[i - 1] > p[j - 1]:
-                if lr_max:
-                    count += 1
-            elif prefix_max[i - 1] > p[j - 1]:
-                count += 1
+    for j, x in enumerate(p, start=1):
+        k = bisect_left(seen, x)
+        seen.insert(k, x)
+        m = bisect_right(maxima, x)
+        if m < len(maxima):
+            count += len(maxima) - m + k + 1 - positions[m]
+        else:
+            maxima.append(x)
+            positions.append(j)
     return count
 
 

@@ -1,12 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from permstat import bijections, stats
 from permstat.core import identity, left_to_right_maxima, restrict_below
-from permstat.errors import InvariantViolation, LetterCollision
+from permstat.errors import InvariantViolation, LetterCollision, PermstatError
 
 
 def all_perms(n):
@@ -22,6 +22,43 @@ def lemma_words(max_len=5, alphabet=range(1, 8)):
 distinct_words = hyp.lists(
     hyp.integers(min_value=1, max_value=9), max_size=6, unique=True
 ).map(tuple)
+
+# distinct words of up to 300 letters, the size drawn first; the letters are
+# truly shuffled, so a word contains both patterns early on and has_pattern
+# stops early (on a long sorted word it would scan every triple)
+long_words = hyp.builds(
+    lambda n, rnd: tuple(rnd.sample(range(1, 10**6), n)),
+    hyp.integers(min_value=0, max_value=300),
+    hyp.randoms(use_true_random=True),
+)
+
+
+def has_pattern(word, pat):
+    """True iff some three letters of word, in order, are order-isomorphic to pat."""
+    return any(
+        tuple(sorted(vals).index(v) + 1 for v in vals) == pat
+        for vals in itertools.combinations(word, 3)
+    )
+
+
+def merge_of_two_increasing(rnd, n):
+    """A 321-avoider: letters 1..n split into two increasing runs, interleaved."""
+    first = sorted(rnd.sample(range(1, n + 1), rnd.randint(0, n)))
+    second = sorted(set(range(1, n + 1)) - set(first))
+    out = []
+    while first or second:
+        run = first if first and (not second or rnd.random() < 0.5) else second
+        out.append(run.pop(0))
+    return tuple(out)
+
+
+def min_split(rnd, letters):
+    """A 312-avoider: w = alpha m beta with m the minimum and alpha < beta,
+    both built the same way."""
+    if not letters:
+        return ()
+    cut = rnd.randint(1, len(letters))
+    return min_split(rnd, letters[1:cut]) + letters[:1] + min_split(rnd, letters[cut:])
 
 
 class TestFInsert:
@@ -207,6 +244,10 @@ class TestAvoidance:
         with pytest.raises(ValueError):
             bijections.avoids((1, 2), 123)
 
+    def test_unknown_pattern_is_a_permstat_error(self):
+        with pytest.raises(PermstatError, match="unsupported pattern 123"):
+            bijections.avoids((1, 2), 123)
+
     def test_catalan_counts(self):
         catalan = [1, 1, 2, 5, 14, 42, 132, 429]
         for n in range(8):
@@ -222,13 +263,24 @@ class TestAvoidance:
 
     @given(distinct_words)
     def test_avoids_matches_subsequence_search(self, w):
-        def has_pattern(word, pat):
-            for idx in itertools.combinations(range(len(word)), 3):
-                vals = [word[i] for i in idx]
-                ranks = tuple(sorted(vals).index(v) + 1 for v in vals)
-                if ranks == pat:
-                    return True
-            return False
-
         assert bijections.avoids(w, 321) == (not has_pattern(w, (3, 2, 1)))
         assert bijections.avoids(w, 312) == (not has_pattern(w, (3, 1, 2)))
+
+    def test_all_permutations_match_subsequence_search(self):
+        for n in range(8):
+            for p in all_perms(n):
+                assert bijections.avoids(p, 321) == (not has_pattern(p, (3, 2, 1)))
+                assert bijections.avoids(p, 312) == (not has_pattern(p, (3, 1, 2)))
+
+    @settings(deadline=None, max_examples=30)
+    @given(long_words)
+    def test_long_words_match_subsequence_search(self, w):
+        assert bijections.avoids(w, 321) == (not has_pattern(w, (3, 2, 1)))
+        assert bijections.avoids(w, 312) == (not has_pattern(w, (3, 1, 2)))
+
+    @settings(deadline=None, max_examples=30)
+    @given(hyp.integers(min_value=0, max_value=300), hyp.randoms(use_true_random=True))
+    def test_long_avoiders(self, n, rnd):
+        # random long words almost never avoid a pattern; these do by construction
+        assert bijections.avoids(merge_of_two_increasing(rnd, n), 321)
+        assert bijections.avoids(min_split(rnd, tuple(range(1, n + 1))), 312)

@@ -99,6 +99,10 @@ class TestJointDistribution:
         with pytest.raises(WordNotPermutation):
             joint_distribution([(2, 5)], ["exc"])
 
+    def test_rmaj_on_a_word_names_the_statistic(self):
+        with pytest.raises(WordNotPermutation, match=r"^statistic 'rmaj:2' requires"):
+            joint_distribution([(2, 5)], ["rmaj:2"])
+
 
 class TestDistributionsEqual:
     def test_reflexive_symmetric_transitive(self):
