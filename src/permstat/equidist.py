@@ -7,15 +7,18 @@ distinct words of bounded length on a small alphabet.
 
 Every claim is a record in CLAIMS. One engine runs them, once over
 S_0..S_n and once over the lemma words: for each size it enumerates the
-objects once and feeds every selected claim from a table of the current
-object's values, each computed on first use.
+objects once, in chunks, and feeds every selected claim from columns of
+the chunk's values, each computed on first use.
 """
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import os
 import sys
 import time
+from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -28,14 +31,11 @@ DEFAULT_CAP = 10
 #: bounded domain for the word-level lemma suites
 LEMMA_ALPHABET = range(1, 8)
 LEMMA_MAX_LEN = 5
-LEMMA_MAX_K = 8
-_LETTERS = range(1, LEMMA_MAX_K + 1)  # the letters a lemma inserts
+_LETTERS = range(1, 9)  # the letters a lemma inserts
 
 
 def size_cap() -> int:
-    raw = os.environ.get("PERMSTAT_NMAX")
-    if raw is None:
-        return DEFAULT_CAP
+    raw = os.environ.get("PERMSTAT_NMAX", str(DEFAULT_CAP))
     if not raw.strip().isdecimal():
         raise InvalidSize(f"PERMSTAT_NMAX={raw!r} is not a non-negative integer")
     return int(raw)
@@ -60,69 +60,92 @@ def _words(length: int) -> Iterator[Word]:
 
 
 def lemma_words(max_len: int = LEMMA_MAX_LEN) -> Iterator[Word]:
-    """All distinct words of length <= max_len over subsets of the lemma
-    alphabet, shortest first."""
+    """All distinct words of length <= max_len on the lemma alphabet, shortest first."""
     return itertools.chain.from_iterable(map(_words, range(max_len + 1)))
 
 
-# -- values and joint distributions ------------------------------------------------
+# -- value columns and joint distributions ----------------------------------------
 
 Keys = tuple[str, ...]
 
-#: values a key can name besides the registry statistics and rmaj:r
+#: objects per column table; a chunk's columns are all the engine holds
+CHUNK = 32
+
+#: values a key can name besides rmaj:r and the functions of stats and bijections
 _DERIVED = {
-    "phi": lambda w: bijections.phi(w),
-    "psi": lambda w: bijections.psi(w),
     "avoids321": lambda w: bijections.avoids(w, "321"),
     "avoids312": lambda w: bijections.avoids(w, "312"),
-    "rmaj": lambda w: stats.rawlings(w),
     "|Inv_2|": lambda w: len(stats.inv_set_r(w, 2)),
     "lrmax": left_to_right_maxima,
-    **{f"f{k}": lambda w, k=k: bijections.f_insert(k, w)[0] for k in _LETTERS},
-    **{f"g{k}": lambda w, k=k: (k,) + w for k in _LETTERS},
+    **{f"f{k}": lambda w, k=k: None if k in w else bijections.f_insert(k, w)[0] for k in _LETTERS},
+    **{f"g{k}": lambda w, k=k: None if k in w else (k,) + w for k in _LETTERS},
     "free": lambda w: [k for k in _LETTERS if k not in w],
 }
 
 
-class Values(dict):
-    """The values the claims read for one permutation or word p, each
-    computed once, on first use.
+class Columns(dict):
+    """The values the claims read over a chunk of objects: per key a list,
+    row i for object i, computed on first use. "p" is the chunk itself.
 
-    A key names a value of p ("inv", "psi", "rmaj:2", "f3" is f(3, p), "g3"
-    is the word 3 p, "free" lists the letters of _LETTERS outside p), or of
-    an image of p ("phi.aid" is aid(phi(p)), "f5.f3.des" is
-    des(f(3, f(5, p)))); "p" is p itself. Statistics and maps are looked up
-    on their modules at call time, so a patched function sees every call.
+    A key names a value of w ("inv", "psi", "rmaj:2", "f3" is f(3, w), "g3"
+    is 3 w, "free" lists the letters of _LETTERS outside w) or of an image
+    ("phi.aid" is aid(phi(w)), "f5.f3.des" is des(f(3, f(5, w)))). f{k} and
+    g{k} are None where w has k, and so is every image of that row. The
+    functions are looked up on their modules once per column, so a patched
+    one sees every call. spent maps each key to (objects, seconds).
     """
 
-    def __missing__(self, key: str):
+    def __init__(self, objects: list, spent: dict):
+        super().__init__(p=objects)
+        self.spent = spent
+
+    def __missing__(self, key: str) -> list:
         image, _, name = key.rpartition(".")
-        w = self[image or "p"]
-        if name in _DERIVED:
-            value = _DERIVED[name](w)
-        elif name.startswith("rmaj:"):  # read off the profile (rmaj:1, ..., rmaj:n)
-            r = len(w) if name == "rmaj:n" else int(name[5:])
-            try:
-                value = self[key.rpartition(":")[0]][min(r, len(w)) - 1] if w else 0
-            except WordNotPermutation:  # the profile names the family, not rmaj:r
-                raise WordNotPermutation(name) from None
+        if name.startswith("rmaj:"):  # read off the profile rawlings(w) = (rmaj:1, ..., rmaj:n)
+            r = sys.maxsize if name == "rmaj:n" else int(name[5:])
+            image = key[:-len(name)] + "rawlings"
+            fn = lambda profile: profile[min(r, len(profile)) - 1] if profile else 0  # noqa: E731
         else:
-            value = getattr(stats, name)(w)
-        self[key] = value
-        return value
+            fn = _DERIVED.get(name) or getattr(stats, name, None) or getattr(bijections, name)
+        try:
+            words = self[image or "p"]
+        except WordNotPermutation:  # a profile names the family, not rmaj:r
+            raise WordNotPermutation(name) from None
+        holes = words.count(None)
+        start = time.perf_counter()
+        column = [None if w is None else fn(w) for w in words] if holes else list(map(fn, words))
+        objects, seconds = self.spent.get(key, (0, 0.0))
+        self.spent[key] = objects + len(words) - holes, seconds + time.perf_counter() - start
+        self[key] = column
+        return column
+
+
+class Row:
+    """Row i of a column table, read by key."""
+
+    def __init__(self, columns: Columns, i: int = 0):
+        self.columns, self.i = columns, i
+
+    def __getitem__(self, key: str):
+        return self.columns[key][self.i]
+
+
+def _chunks(objects: Iterable[Word]) -> Iterator[list]:
+    stream = iter(objects)
+    return iter(lambda: list(itertools.islice(stream, CHUNK)), [])
 
 
 def joint_distribution(perms: Iterable[Word], names) -> dict[tuple, int]:
     """The joint distribution of the named statistics over perms, any words
     of distinct letters: a count map {value tuple: count}."""
     names = tuple(names)
-    for name in names:  # Values would also read other keys, and rmaj:0 as rmaj:n
+    for name in names:  # Columns would also read other keys, and rmaj:0 as rmaj:n
         stats.resolve_statistic(name)
-    counts: dict[tuple, int] = {}
-    for p in perms:
-        value = tuple(map(Values(p=p).__getitem__, names))
-        counts[value] = counts.get(value, 0) + 1
-    return counts
+    counts: Counter = Counter()
+    for chunk in _chunks(perms):
+        columns = Columns(chunk, {})
+        counts.update(zip(*map(columns.__getitem__, names)) if names else [()] * len(chunk))
+    return dict(counts)
 
 
 def distributions_equal(a: dict, b: dict) -> tuple[bool, tuple | None]:
@@ -136,11 +159,6 @@ def distributions_equal(a: dict, b: dict) -> tuple[bool, tuple | None]:
 
 
 # -- claims -----------------------------------------------------------------------
-
-#: the values of some keys over the permutations of one size, counted, either
-#: over all of them (None) or over those where a key's value is true
-Tally = tuple[Keys, "str | None"]
-
 
 class Pointwise(NamedTuple):
     """lhs = rhs on every permutation of each size from n_min. The witness is
@@ -157,29 +175,27 @@ class Pointwise(NamedTuple):
 
 class Tallied(NamedTuple):
     """A claim decided at the end of each size from n_min: conclude(n, counts)
-    returns the witness, or None, from the count maps of tallies(n)."""
+    returns the witness, or None, from the count maps of tallies(n). A tally
+    (keys, where) counts the value tuples of keys over the permutations of
+    one size: all of them (where None), or those whose value of where is true."""
 
     label: str
     suite: str
-    tallies: Callable[[int], tuple[Tally, ...]]
+    tallies: Callable[[int], tuple]
     conclude: Callable[[int, dict], object]
     n_min: int = 0
 
 
-_WORDS = "words len<=5 on {1..7}, k<=8"
-_SIGMAS = "sigma len<=4 on {1..7}, k,l<=8"
-
-
 class Lemma(NamedTuple):
     """fails(v, k) is falsy for every lemma word of length <= n_max and
-    every letter k of _LETTERS outside it, v holding the word's values;
+    every letter k of _LETTERS outside it, v the row of the word's values;
     otherwise it is the witness. The witness is the first failing word in
     lemma_words() order, then its smallest failing k."""
 
     label: str
     suite: str
-    fails: Callable[[Values, int], object]
-    n_range: str = _WORDS
+    fails: Callable[[Row, int], object]
+    n_range: str = "words len<=5 on {1..7}, k<=8"
     n_max: int = LEMMA_MAX_LEN
     n_min = 0  # not a field: every lemma starts at the empty word
 
@@ -197,8 +213,7 @@ def _equidistributed(label, suite, base: Keys, sides, tag=None, n_min=0) -> Tall
             equal, diff = distributions_equal(counts[base, None], counts[keys, None])
             if not equal:
                 tagged = {} if tag is None else {tag: name}
-                value = diff[0] if len(keys) > 1 else (diff[0],)  # one key is counted bare
-                return {"n": n, **tagged, "value": value, "counts": [diff[1], diff[2]]}
+                return {"n": n, **tagged, "value": diff[0], "counts": [diff[1], diff[2]]}
         return None
 
     return Tallied(label, suite, tallies, conclude, n_min)
@@ -209,27 +224,23 @@ def _pair(label: str, suite: str, base: Keys, other: Keys) -> Tallied:
 
 
 def _catalan(n: int) -> int:
-    out = 1
-    for i in range(n):
-        out = out * 2 * (2 * i + 1) // (i + 2)
-    return out
+    return math.comb(2 * n, n) // (n + 1)
 
 
-_AVOID_321: Tally = (("p",), "avoids321")
-_AVOID_312: Tally = (("p",), "avoids312")
-_PSI_OF_AVOID_321: Tally = (("psi",), "avoids321")
+_AVOID_321 = (("p",), "avoids321")
+_AVOID_312 = (("p",), "avoids312")
+_PSI_OF_AVOID_321 = (("psi",), "avoids321")
 
 
 def _catalan_sizes(n: int, counts: dict):
-    sizes = [len(counts[_AVOID_321]), len(counts[_AVOID_312])]
-    if sizes == [_catalan(n)] * 2:
-        return None
-    return {"n": n, "sizes": sizes, "catalan": _catalan(n)}
+    sizes, catalan = [len(counts[_AVOID_321]), len(counts[_AVOID_312])], _catalan(n)
+    return None if sizes == [catalan] * 2 else {"n": n, "sizes": sizes, "catalan": catalan}
 
 
 def _psi_onto(n: int, counts: dict):
     image, target = set(counts[_PSI_OF_AVOID_321]), set(counts[_AVOID_312])
-    return None if image == target else {"n": n, "missing": sorted(target - image)[:3]}
+    missing = [p for p, in sorted(target - image)[:3]]
+    return None if image == target else {"n": n, "missing": missing}
 
 
 def _insertion_lemmas(ins: str, fixstat: str, eulstat: str) -> tuple[Lemma, ...]:
@@ -263,7 +274,7 @@ def _insertion_lemmas(ins: str, fixstat: str, eulstat: str) -> tuple[Lemma, ...]
         Lemma(f"monotonicity {tag}", suite, monotonicity),
         Lemma(f"lemma4 {tag}", suite, lemma4),
         Lemma(f"lemma5 {tag}", suite, lemma5),
-        Lemma(f"lemma6 {tag}", suite, lemma6, n_range=_SIGMAS, n_max=LEMMA_MAX_LEN - 1),
+        Lemma(f"lemma6 {tag}", suite, lemma6, "sigma len<=4 on {1..7}, k,l<=8", 4),
     )
 
 
@@ -306,27 +317,20 @@ CLAIMS = (
 SUITES = tuple(dict.fromkeys(c.suite for c in CLAIMS))
 
 
-def _check(c: Pointwise | Lemma) -> Callable[[Values], object]:
-    """v -> c's witness on the object whose values v holds, or a falsy value."""
+def _check(c: Pointwise | Lemma) -> Callable[[Row], object]:
+    """row -> c's witness on the row's object, or a falsy value."""
     if isinstance(c, Lemma):
-        def fails(v):
-            for k in v["free"]:
-                witness = c.fails(v, k)
-                if witness:
-                    return witness
-            return None
-
-        return fails
+        return lambda row: next(filter(None, (c.fails(row, k) for k in row["free"])), None)
     lhs, rhs = itemgetter(*c.lhs), itemgetter(*c.rhs)
-    if c.show_values:
-        return lambda v: lhs(v) != rhs(v) and {"perm": v["p"], "lhs": lhs(v), "rhs": rhs(v)}
-    return lambda v: lhs(v) != rhs(v) and {"perm": v["p"]}
+    shown = (lambda row: {"lhs": lhs(row), "rhs": rhs(row)}) if c.show_values else (lambda row: {})
+    return lambda row: lhs(row) != rhs(row) and {"perm": row["p"], **shown(row)}
 
 
-def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]]) -> dict:
+def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: dict) -> dict:
     """Check claims on the objects of sizes 0..n_max, enumerating those of
-    each size once, in the order objects(n) yields them. A claim is checked
-    from its n_min, and up to its own n_max where it has one.
+    each size once, in the order objects(n) yields them, in chunks whose
+    columns every claim reads. A claim is checked from its n_min, and up to
+    its own n_max where it has one. spent gathers the columns' costs.
 
     Returns claim -> (witness, checked), where checked counts the objects
     examined up to the witness, or all of them. Joint distributions stream
@@ -338,23 +342,27 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]]) -> dict:
         live = [c for c in claims
                 if found[c][0] is None and c.n_min <= n <= getattr(c, "n_max", n)]
         checks = [(c, _check(c)) for c in live if not isinstance(c, Tallied)]
-        counts = {tally: {} for c in live if isinstance(c, Tallied) for tally in c.tallies(n)}
-        feeds = [(itemgetter(*keys), where, tally) for (keys, where), tally in counts.items()]
+        counts = {t: Counter() for c in live if isinstance(c, Tallied) for t in c.tallies(n)}
         size = 0
-        for p in objects(n) if live else ():
-            size += 1
-            v = Values(p=p)
-            for check in checks:
-                c, fails = check
-                witness = fails(v)
-                if witness:
-                    found[c] = (witness, found[c][1] + size)
-                    checks = [x for x in checks if x is not check]
-            for get, where, tally in feeds:
-                if where is None or v[where]:
-                    value = get(v)
-                    tally[value] = tally.get(value, 0) + 1
-            if not checks and not feeds:
+        for chunk in _chunks(objects(n) if live else ()):
+            columns = Columns(chunk, spent)
+            for c, fails in checks:
+                if isinstance(c, Pointwise) and all(
+                        columns[a] == columns[b] for a, b in zip(c.lhs, c.rhs)):
+                    continue  # holds on the whole chunk, compared column by column
+                row = Row(columns)
+                for row.i in range(len(chunk)):
+                    witness = fails(row)
+                    if witness:
+                        found[c] = (witness, found[c][1] + size + row.i + 1)
+                        break
+            checks = [check for check in checks if found[check[0]][0] is None]
+            for (keys, where), tally in counts.items():  # a filter gets a table of its rows
+                table = columns if where is None else Columns(
+                    list(itertools.compress(chunk, columns[where])), spent)
+                tally.update(zip(*map(table.__getitem__, keys)))
+            size += len(chunk)
+            if not checks and not counts:
                 break
         for c in live:
             if found[c][0] is None:
@@ -371,25 +379,22 @@ def verify_suite(n_max: int, suite: str = "all") -> dict:
     counterexample payload. A claim that examined nothing fails.
     """
     _check_size(n_max)
-    if suite == "all":
-        names = SUITES
-    elif suite in SUITES:
-        names = (suite,)
-    else:
+    if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     start = time.perf_counter()
-    claims = [c for c in CLAIMS if c.suite in names]
-    found = _run([c for c in claims if not isinstance(c, Lemma)], n_max, all_permutations)
-    found |= _run([c for c in claims if isinstance(c, Lemma)], LEMMA_MAX_LEN, _words)
+    claims = [c for c in CLAIMS if suite in ("all", c.suite)]
+    spent: dict[str, tuple] = {}
+    found = _run([c for c in claims if not isinstance(c, Lemma)], n_max, all_permutations, spent)
+    found |= _run([c for c in claims if isinstance(c, Lemma)], LEMMA_MAX_LEN, _words, spent)
     claims = [
         {"claim": c.label, "status": "pass" if witness is None and checked > 0 else "fail",
          "n_range": getattr(c, "n_range", f"n<={n_max}"),
-         "checked": checked, "witness": _jsonable(witness)}
+         "checked": checked, "witness": json.loads(json.dumps(witness))}
         for c in claims
         for witness, checked in [found[c]]
     ]
     return {
-        "schema": 2,
+        "schema": 3,
         "suite": suite,
         "n_max": n_max,
         "cap": size_cap(),
@@ -397,12 +402,6 @@ def verify_suite(n_max: int, suite: str = "all") -> dict:
         "seconds": round(time.perf_counter() - start, 3),
         "passed": all(c["status"] == "pass" for c in claims),
         "claims": claims,
+        "values": {k: {"objects": m, "seconds": round(s, 4)} for k, (m, s) in spent.items()},
     }
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj

@@ -134,14 +134,34 @@ def hook_factorization(w: Word) -> HookFactorization:
         rest = rest[: d - 1]
 
 
+def _hooks(w: Word) -> tuple[int, int]:
+    """(pix, lec) from one right-to-left pass over the hook factorization.
+
+    A hook w[d-1:end] starts at the rightmost descent d of w[:end]; the next
+    starts at the rightmost descent below d - 1. The hook's tail is
+    increasing, so its inversions are the tail letters below its head,
+    found by one bisection.
+    """
+    end = len(w)  # the hooks of w[end:] are peeled
+    lec = 0
+    d = end - 1
+    while d > 0:
+        if w[d - 1] > w[d]:
+            lec += bisect_left(w, w[d - 1], d, end) - d
+            end = d - 1
+            d = end
+        d -= 1
+    return end, lec
+
+
 def lec(w: Word) -> int:
     """Sum of inversion counts over the hooks of the hook factorization."""
-    return sum(inv(h) for h in hook_factorization(w).hooks)
+    return _hooks(w)[1]
 
 
 def pix(w: Word) -> int:
     """Length of the nondecreasing prefix of the hook factorization."""
-    return len(hook_factorization(w).pi0)
+    return _hooks(w)[0]
 
 
 def aix(w: Word) -> int:

@@ -131,7 +131,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "kratt", "--format", "json")
         assert code == 0
         report = json.loads(out)
-        assert report["passed"] is True and report["schema"] == 2
+        assert report["passed"] is True and report["schema"] == 3
 
     def test_cap_exceeded_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "11", "--suite", "psi")
@@ -153,7 +153,7 @@ class TestVerifyCommand:
             cli.__dict__,
             "verify_suite",
             lambda n, suite: {
-                "schema": 2,
+                "schema": 3,
                 "suite": suite,
                 "n_max": n,
                 "cap": 10,
@@ -169,6 +169,7 @@ class TestVerifyCommand:
                         "witness": {"perm": [1]},
                     }
                 ],
+                "values": {"des": {"objects": 2, "seconds": 0.0}},
             },
         )
         code, out, _ = run(capsys, "verify", "--n", "1")

@@ -133,7 +133,7 @@ class TestDistributionsEqual:
 class TestVerifySuite:
     def test_all_suites_pass_small(self):
         report = verify_suite(5, "all")
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["passed"] is True
         assert all(c["status"] == "pass" for c in report["claims"])
         assert all(c["witness"] is None for c in report["claims"])
@@ -169,6 +169,18 @@ class TestVerifySuite:
         assert checked["theorem1 (ini,aix,des,aid) phi = (ini,pix,lec,inv)"] == perms - 1
         assert checked["lemma2 aid f(k,t) = aid t + |t<k|"] == len(list(equidist.lemma_words()))
 
+    def test_schema_3_values(self):
+        values = verify_suite(4, "kratt")["values"]
+        assert list(values) == ["avoids321", "avoids312", "psi"]
+        assert values["avoids321"]["objects"] == sum(math.factorial(n) for n in range(5))
+        # psi is computed on the 321-avoiders only
+        assert values["psi"]["objects"] == sum(equidist._catalan(n) for n in range(5))
+        assert all(set(v) == {"objects", "seconds"} and v["seconds"] >= 0 for v in values.values())
+        # f3 is None on the lemma words that have the letter 3, and aid is
+        # computed only on the other rows of f3
+        f3_aid = verify_suite(0, "lemmas-f")["values"]["f3.aid"]["objects"]
+        assert f3_aid == sum(1 for w in equidist.lemma_words() if 3 not in w)
+
     def test_pointwise_checked_stops_at_the_witness(self, monkeypatch):
         real = bijections.psi
         monkeypatch.setattr(bijections, "psi", lambda p: (1, 2) if p == (2, 1) else real(p))
@@ -189,6 +201,41 @@ class TestVerifySuite:
         import json
 
         json.dumps(verify_suite(3, "kratt"))
+
+
+class TestChunks:
+    """The engine reads objects in chunks of equidist.CHUNK; nothing it
+    reports may depend on where a chunk ends."""
+
+    # (1, 2, 3, 4, 5) is the 35th permutation of size <= 5, and (8, 7, ..., 1)
+    # the 46,234th and last of size <= 8
+    @pytest.mark.parametrize("n, index, checked", [(5, 0, 35), (5, 33, 68), (8, 40319, 46234)])
+    def test_witness_in_a_later_chunk(self, monkeypatch, n, index, checked):
+        perm = list(all_permutations(n))[index]
+        real = stats.maj
+        monkeypatch.setattr(stats, "maj", lambda p: real(p) + (p == perm))
+        claims = {c["claim"]: c for c in verify_suite(n, "rawlings")["claims"]}
+        assert claims["rmaj:1 = maj"]["witness"] == {"perm": list(perm)}
+        assert claims["rmaj:1 = maj"]["checked"] == checked
+
+    @pytest.mark.parametrize("chunk", [1, 7, equidist.CHUNK])
+    def test_filtered_tally_spans_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(equidist, "CHUNK", chunk)
+        calls = []
+        real = bijections.psi
+        monkeypatch.setattr(bijections, "psi", lambda p: calls.append(p) or real(p))
+        assert verify_suite(7, "kratt")["passed"]
+        assert math.factorial(7) > 100 * chunk
+        # psi is called on the 321-avoiders only, each once
+        assert len(calls) == sum(equidist._catalan(n) for n in range(8)) == 626
+        assert all(bijections.avoids(p, "321") for p in calls)
+
+    def test_joint_distribution_of_a_one_shot_iterator_longer_than_a_chunk(self):
+        assert math.factorial(6) > 3 * equidist.CHUNK
+        perms = iter(all_permutations(6))
+        assert joint_distribution(perms, ["inv"]) == mahonian(6)
+        assert next(perms, None) is None
+        assert joint_distribution(iter(all_permutations(6)), []) == {(): 720}
 
 
 def eulerian(n):

@@ -106,6 +106,12 @@ def is_hook(w):
     return len(w) >= 2 and w[0] > w[1] and all(a <= b for a, b in zip(w[1:], w[2:]))
 
 
+def oracle_pix_lec(w):
+    """(pix, lec) read off the peeled hook factorization."""
+    hf = stats.hook_factorization(w)
+    return len(hf.pi0), sum(oracle_inv(h) for h in hf.hooks)
+
+
 def brute_force_hook_factorizations(w):
     """All splittings of w into a nondecreasing prefix plus hooks."""
     def hooks_of(rest):
@@ -324,8 +330,9 @@ class TestRawlings:
 
 
 class TestAgainstOracles:
-    """The inversion-flavored kernels against the quadratic and cubic
-    definitions: exhaustively over S_n, and on long words."""
+    """The inversion-flavored kernels and the one-pass hook statistics
+    against the quadratic and cubic definitions: exhaustively over S_n, and
+    on long words."""
 
     def test_all_permutations(self):
         for n in range(8):
@@ -334,6 +341,7 @@ class TestAgainstOracles:
                 assert stats.ai(p) == oracle_ai(p)
                 assert stats.aid(p) == oracle_ai(p) + len(oracle_des_positions(p))
                 assert stats.mix(p) == oracle_mix(p)
+                assert (stats.pix(p), stats.lec(p)) == oracle_pix_lec(p)
 
     @settings(deadline=None, max_examples=20)
     @given(long_words)
@@ -342,6 +350,7 @@ class TestAgainstOracles:
         expected = oracle_ai(w)
         assert stats.ai(w) == expected
         assert stats.aid(w) == expected + len(oracle_des_positions(w))
+        assert (stats.pix(w), stats.lec(w)) == oracle_pix_lec(w)
 
     @settings(deadline=None, max_examples=20)
     @given(long_permutations)
@@ -362,13 +371,16 @@ class TestVeryLongWords:
         assert stats.ai(w) == 0
         assert stats.aid(w) == n - 1
         assert stats.mix(w) == n - 1
+        assert stats.lec(w) == n // 2  # n // 2 hooks (2, 1) after pi0 = (n) or ()
+        assert stats.pix(w) == n % 2
         assert bijections.avoids(w, 321) is False
         assert bijections.avoids(w, 312) is True
 
     def test_increasing(self):
         w = identity(self.N)
-        for name in ("inv", "ai", "aid", "mix"):
+        for name in ("inv", "ai", "aid", "mix", "lec"):
             assert getattr(stats, name)(w) == 0
+        assert stats.pix(w) == self.N
         assert bijections.avoids(w, 321) is True
         assert bijections.avoids(w, 312) is True
 
