@@ -5,16 +5,123 @@ f inserts a new letter k into a word t of distinct letters (k not in t),
 always producing a word that starts with k. phi folds f over a permutation
 from its rightmost letter to its leftmost. psi mirrors the values of a chain
 of subwords determined by the left-to-right maxima.
+
+f runs on the min-rooted Cartesian tree of t = alpha m beta (Vuillemin,
+1980): m, the least letter, at the root, the trees of alpha and beta as its
+children. Each rule is O(1) surgery at the node it reaches, so phi, folding
+every letter into one tree, costs O(rule steps): about n^2/4 on the
+decreasing word of size n, linear on most words. phi_inverse builds the tree
+once, by a monotone-stack pass (Gabow, Bentley & Tarjan, 1984), and reverses
+the surgery, peeling the leftmost letter each time. The tuple form of f
+(split at the minimum, rebuild the tail) is the tests' oracle.
 """
 from __future__ import annotations
 
-from .core import Word, complement_subword_on, left_to_right_maxima, split_at_min
+from .core import Word, complement_subword_on, left_to_right_maxima
+# bench/tracing.py patches this name until ROADMAP item 1 retargets it
+from .core import split_at_min  # noqa: F401
 from .errors import InvariantViolation, LetterCollision, UnknownPattern
 
 
 #: the rules fired by one insertion, in order: "a" or "b" steps, then one
 #: closing "c", "d" or "base"
 InsertionTrace = tuple[str, ...]
+
+# A tree over the nodes 1..n is two lists: val[v] is the letter of node v,
+# and kids[2v], kids[2v + 1] are its left and right children (0 for none).
+# Node 0 lies below every letter and its right child kids[1] is the root, so
+# a slot s (the place kids[s] that holds a subtree) covers the root too.
+_BELOW = float("-inf")
+
+
+def _tree(w: Word) -> tuple[list, list[int]]:
+    """The tree of w, node v at position v, by one monotone-stack pass."""
+    val = [_BELOW, *w]
+    kids = [0] * (2 * len(val))
+    spine = [0]  # the right spine so far: letters increase towards its end
+    for v, x in enumerate(w, 1):
+        if val[spine[-1]] > x:  # the spine's larger end becomes v's left subtree
+            last = spine.pop()
+            while val[spine[-1]] > x:
+                last = spine.pop()
+            kids[2 * v] = last
+        kids[2 * spine[-1] + 1] = v
+        spine.append(v)
+    return val, kids
+
+
+def _insert(val: list, kids: list[int], v: int) -> InsertionTrace:
+    """Insert the childless node v, holding k = val[v], by the rules of f.
+    At the node m in slot s: d puts v there with the subtree as its right
+    child; b moves beta to m's empty left, a leaves alpha there, and both go
+    on in that slot; c makes v m's left child and alpha its right; base puts
+    v in an empty slot.
+    """
+    k = val[v]
+    steps = []
+    s = 1
+    while True:
+        m = kids[s]
+        if not m:
+            steps.append("base")
+            kids[s] = v
+            break
+        if k < val[m]:
+            steps.append("d")
+            kids[2 * v + 1] = m
+            kids[s] = v
+            break
+        s = 2 * m
+        alpha, beta = kids[s], kids[s + 1]
+        if not alpha:
+            steps.append("b")
+            kids[s], kids[s + 1] = beta, 0
+        elif beta:
+            steps.append("a")
+        else:
+            steps.append("c")
+            kids[s], kids[s + 1] = v, alpha
+            break
+    return tuple(steps)
+
+
+def _uninsert(kids: list[int]) -> int:
+    """Reverse the insertion that made the leftmost node; detach and return it.
+
+    The rules a and b both went on in the left slot, so the insertion's path
+    is the left spine, and the node m in slot s tells which rule it fired.
+    """
+    s = 1
+    while True:
+        m = kids[s]
+        alpha, beta = kids[2 * m], kids[2 * m + 1]
+        if not alpha:  # rule d, or base: m is the inserted node
+            kids[s] = beta
+            return m
+        if not beta:  # rule b: q = f(k, beta) m, t = m beta; go on in m's right
+            kids[2 * m], kids[2 * m + 1] = 0, alpha
+            s = 2 * m + 1
+        elif kids[2 * alpha] or kids[2 * alpha + 1]:  # rule a
+            s = 2 * m
+        else:  # rule c: m's left is the leaf k, t = alpha m
+            kids[2 * m], kids[2 * m + 1] = beta, 0
+            return alpha
+
+
+def _word(val: list, kids: list[int]) -> Word:
+    """The tree's word, by one iterative in-order walk."""
+    out = []
+    path = []
+    v = kids[1]
+    while True:
+        while v:
+            path.append(v)
+            v = kids[2 * v]
+        if not path:
+            return tuple(out)
+        v = path.pop()
+        out.append(val[v])
+        v = kids[2 * v + 1]
 
 
 def f_insert(k: int, t: Word) -> tuple[Word, InsertionTrace]:
@@ -31,71 +138,32 @@ def f_insert(k: int, t: Word) -> tuple[Word, InsertionTrace]:
     """
     if k in t:
         raise LetterCollision(k)
-    steps: list[str] = []
-    # rules a and b recurse on a strict prefix/suffix; accumulate the fixed
-    # right parts iteratively instead of recursing.
-    tail: Word = ()
-    while True:
-        if not t:
-            steps.append("base")
-            out: Word = (k,)
-            break
-        alpha, m, beta = split_at_min(t)
-        if k < m:
-            steps.append("d")
-            out = (k,) + t
-            break
-        if not alpha:
-            steps.append("b")
-            tail = (m,) + tail
-            t = beta
-        elif beta:
-            steps.append("a")
-            tail = (m,) + beta + tail
-            t = alpha
-        else:
-            steps.append("c")
-            out = (k, m) + alpha
-            break
-    return out + tail, tuple(steps)
+    val, kids = _tree(t)
+    val.append(k)
+    kids += (0, 0)
+    trace = _insert(val, kids, len(t) + 1)
+    return _word(val, kids), trace
 
 
 def f_uninsert(q: Word) -> tuple[int, Word]:
     """Recover (k, t) from q = f_insert(k, t). Inverse of one insertion."""
     if not q:
         raise InvariantViolation("cannot un-insert from the empty word")
-    k = q[0]
-    # rules a and b wrap an insertion into a strict prefix of q; peel those
-    # iteratively, keeping the letters each puts before and after the result.
-    head: list[int] = []
-    tail: Word = ()
-    while True:
-        m = min(q)
-        if k == m:  # rule d, or q = k alone
-            middle = q[1:]
-            break
-        pos = q.index(m) + 1  # 1-based position of the minimum
-        if pos == len(q):  # rule b: q = f(k, beta) m, t = m beta
-            head.append(m)
-            q = q[:-1]
-        elif pos == 2:  # rule c: q = k m alpha, alpha nonempty
-            middle = q[2:] + (m,)
-            break
-        else:  # rule a: q = f(k, alpha) m beta, t = alpha m beta
-            tail = (m,) + q[pos:] + tail
-            q = q[: pos - 1]
-    return k, (*head, *middle, *tail)
+    val, kids = _tree(q)
+    k = val[_uninsert(kids)]
+    return k, _word(val, kids)
 
 
 def phi_with_traces(p: Word) -> tuple[Word, tuple[InsertionTrace, ...]]:
-    """Fold f_insert over p from its rightmost letter to its leftmost; return
-    phi(p) and the trace of every insertion, the leftmost letter's last."""
-    out: Word = ()
-    traces: list[InsertionTrace] = []
-    for k in reversed(p):
-        out, trace = f_insert(k, out)
-        traces.append(trace)
-    return out, tuple(traces)
+    """Fold f over p from its rightmost letter to its leftmost, on one tree
+    whose node v is the v-th letter inserted; return phi(p) and the trace of
+    every insertion, the leftmost letter's last."""
+    if len(set(p)) < len(p):  # the letter f, inserting from the right, finds present
+        raise LetterCollision(next(k for i, k in reversed(list(enumerate(p))) if k in p[i + 1:]))
+    val = [_BELOW, *reversed(p)]
+    kids = [0] * (2 * len(val))
+    traces = tuple([_insert(val, kids, v) for v in range(1, len(val))])
+    return _word(val, kids), traces
 
 
 def phi(p: Word) -> Word:
@@ -105,11 +173,8 @@ def phi(p: Word) -> Word:
 
 def phi_inverse(q: Word) -> Word:
     """The unique p with phi(p) = q, by peeling one insertion at a time."""
-    letters: list[int] = []
-    while q:
-        k, q = f_uninsert(q)
-        letters.append(k)
-    return tuple(letters)
+    val, kids = _tree(q)
+    return tuple([val[_uninsert(kids)] for _ in q])
 
 
 def psi_chain(p: Word) -> tuple[frozenset[int], ...]:

@@ -11,7 +11,9 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .core import Word, first_letter, inverse, is_permutation, split_at_min
+from .core import Word, first_letter, inverse, is_permutation
+# bench/tracing.py patches this name until ROADMAP item 1 retargets it
+from .core import split_at_min  # noqa: F401
 from .errors import InvalidR, UnknownStatistic, WordNotPermutation
 
 
@@ -170,18 +172,34 @@ def aix(w: Word) -> int:
     aix() = 0; aix(alpha m beta) = aix(alpha) when both parts are nonempty,
     1 + aix(beta) when alpha is empty, 0 when beta is empty. For a single
     letter the alpha-empty clause wins, giving 1.
+
+    One pass reads it off. Write w = r s, r the longest increasing prefix.
+    The alpha-empty clause drops the letters of r one at a time, adding 1
+    each; while r(j) leads, the recursion walks down the left-to-right minima
+    of s with letters between r(j-1) and r(j), and stops (beta empty) at one
+    that is a descent top or the last letter. So with y the least such
+    minimum of s, aix counts the letters of r below y, or all of r if none.
     """
-    total = 0
-    while w:
-        alpha, _, beta = split_at_min(w)
-        if alpha and beta:
-            w = alpha
-        elif not alpha:
-            total += 1
-            w = beta
+    n = len(w)
+    d = 1  # the length of r
+    while d < n and w[d - 1] < w[d]:
+        d += 1
+    if d >= n:
+        return n
+    low = w[d - 1]  # the least letter of s so far, from above s(1)
+    y = None
+    at_min = False  # the letter before x is a left-to-right minimum of s
+    for x in w[d:]:
+        if x < low:
+            if at_min:
+                y = low
+            low = x
+            at_min = True
         else:
-            break  # beta empty: this subproblem contributes 0
-    return total
+            at_min = False
+    if at_min:
+        y = low
+    return d if y is None else bisect_left(w, y, 0, d)
 
 
 # -- mesh-pattern-flavored statistics ----------------------------------------

@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
-from permstat import bijections, stats
-from permstat.core import identity, left_to_right_maxima, restrict_below
+from permstat import bijections, equidist, stats
+from permstat.core import identity, left_to_right_maxima, restrict_below, split_at_min
 from permstat.errors import InvariantViolation, LetterCollision, PermstatError
 
 
@@ -31,6 +32,91 @@ long_words = hyp.builds(
     hyp.integers(min_value=0, max_value=300),
     hyp.randoms(use_true_random=True),
 )
+
+
+# distinct words of up to 300 letters drawn from 1..10^9, so a structure
+# indexed by letter value would not fit
+sparse_words = hyp.builds(
+    lambda n, rnd: tuple(rnd.sample(range(1, 10**9), n)),
+    hyp.integers(min_value=0, max_value=300),
+    hyp.randoms(use_true_random=False),
+)
+long_permutations = hyp.integers(min_value=0, max_value=300).flatmap(
+    lambda n: hyp.permutations(range(1, n + 1))
+).map(tuple)
+
+
+# -- the tuple form of f: the oracle for the tree in bijections ---------------
+
+def oracle_f_insert(k, t):
+    """f_insert by the rules on words: split at the minimum, rebuild the tail."""
+    if k in t:
+        raise LetterCollision(k)
+    steps = []
+    tail = ()
+    while True:
+        if not t:
+            steps.append("base")
+            out = (k,)
+            break
+        alpha, m, beta = split_at_min(t)
+        if k < m:
+            steps.append("d")
+            out = (k,) + t
+            break
+        if not alpha:
+            steps.append("b")
+            tail = (m,) + tail
+            t = beta
+        elif beta:
+            steps.append("a")
+            tail = (m,) + beta + tail
+            t = alpha
+        else:
+            steps.append("c")
+            out = (k, m) + alpha
+            break
+    return out + tail, tuple(steps)
+
+
+def oracle_f_uninsert(q):
+    """f_uninsert on words: peel the rules a and b around the minimum."""
+    k = q[0]
+    head = []
+    tail = ()
+    while True:
+        m = min(q)
+        if k == m:  # rule d, or q = k alone
+            middle = q[1:]
+            break
+        pos = q.index(m) + 1  # 1-based position of the minimum
+        if pos == len(q):  # rule b: q = f(k, beta) m, t = m beta
+            head.append(m)
+            q = q[:-1]
+        elif pos == 2:  # rule c: q = k m alpha, alpha nonempty
+            middle = q[2:] + (m,)
+            break
+        else:  # rule a: q = f(k, alpha) m beta, t = alpha m beta
+            tail = (m,) + q[pos:] + tail
+            q = q[: pos - 1]
+    return k, (*head, *middle, *tail)
+
+
+def oracle_phi_with_traces(p):
+    out = ()
+    traces = []
+    for k in reversed(p):
+        out, trace = oracle_f_insert(k, out)
+        traces.append(trace)
+    return out, tuple(traces)
+
+
+def oracle_phi_inverse(q):
+    letters = []
+    while q:
+        k, q = oracle_f_uninsert(q)
+        letters.append(k)
+    return tuple(letters)
 
 
 def has_pattern(word, pat):
@@ -159,11 +245,68 @@ class TestPhi:
         for q, p in table.items():
             assert bijections.phi_inverse(q) == p
 
+    def test_repeated_letter(self):
+        # inserting from the right, f meets the second 1 first
+        with pytest.raises(LetterCollision, match="letter 1 "):
+            bijections.phi((3, 1, 2, 1, 3))
+
     def test_traces_cover_every_letter(self):
         p = (2, 5, 8, 9, 6, 3, 7, 1, 4)
         image, traces = bijections.phi_with_traces(p)
         assert image == bijections.phi(p)
         assert len(traces) == len(p)
+
+
+class TestTreeAgainstTupleOracle:
+    """f_insert, f_uninsert, phi_with_traces and phi_inverse run on a
+    Cartesian tree; the tuple form of the rules must give the same words and
+    traces."""
+
+    def test_all_permutations(self):
+        for n in range(8):
+            for p in all_perms(n):
+                assert bijections.phi_with_traces(p) == oracle_phi_with_traces(p)
+                assert bijections.phi_inverse(p) == oracle_phi_inverse(p)
+                if p:
+                    assert bijections.f_uninsert(p) == oracle_f_uninsert(p)
+
+    def test_lemma_pairs(self):
+        # every (k, w) the lemma claims insert: w a lemma word, k in 1..8 outside w
+        for w in equidist.lemma_words():
+            for k in range(1, 9):
+                if k in w:
+                    continue
+                q, trace = bijections.f_insert(k, w)
+                assert (q, trace) == oracle_f_insert(k, w)
+                assert bijections.f_uninsert(q) == oracle_f_uninsert(q) == (k, w)
+
+    @settings(deadline=None, max_examples=30)
+    @given(sparse_words, hyp.integers(min_value=1, max_value=10**9))
+    def test_sparse_words(self, w, k):
+        assert bijections.phi_with_traces(w) == oracle_phi_with_traces(w)
+        assert bijections.phi_inverse(w) == oracle_phi_inverse(w)
+        if k not in w:
+            assert bijections.f_insert(k, w) == oracle_f_insert(k, w)
+
+    @settings(deadline=None, max_examples=30)
+    @given(long_permutations)
+    def test_long_permutations(self, p):
+        assert bijections.phi_with_traces(p) == oracle_phi_with_traces(p)
+        assert bijections.phi_inverse(p) == oracle_phi_inverse(p)
+
+    def test_huge_letters(self):
+        assert bijections.f_insert(2, (1, 10**9)) == ((2, 10**9, 1), ("b", "d"))
+        assert bijections.f_uninsert((2, 10**9, 1)) == (2, (1, 10**9))
+
+    def test_random_word_of_size_100000_round_trips(self):
+        rnd = random.Random(7)
+        w = tuple(rnd.sample(range(1, 10**9), 100_000))
+        assert bijections.phi_inverse(bijections.phi(w)) == w
+
+    def test_decreasing_word_of_size_2000_round_trips(self):
+        # about n^2/4 rule-a steps, each O(1) on the tree
+        w = tuple(range(2000, 0, -1))
+        assert bijections.phi_inverse(bijections.phi(w)) == w
 
 
 class TestInsertionLemmas:

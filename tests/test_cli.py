@@ -90,11 +90,22 @@ class TestMapCommand:
         assert out == "312\n"
 
     def test_phi_trace(self, capsys):
-        code, out, _ = run(capsys, "map", "--phi", "312", "--trace")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[-1] == "321"
-        assert sum(1 for line in lines if line.startswith("insert ")) == 3
+        # byte for byte: every rule, the b/c overlap on one letter, and a
+        # two-digit letter
+        expected = {
+            "312": "insert 2: base\ninsert 1: d\ninsert 3: b,b,base\n321\n",
+            "52143": "insert 3: base\ninsert 4: b,base\ninsert 1: d\ninsert 2: b,d\n"
+            "insert 5: c\n51243\n",
+            "4213756": "insert 6: base\ninsert 5: d\ninsert 7: b,b,base\ninsert 3: d\n"
+            "insert 1: d\ninsert 2: b,d\ninsert 4: c\n4123765\n",
+            "7654321": "insert 1: base\ninsert 2: b,base\ninsert 3: c\ninsert 4: a,b,base\n"
+            "insert 5: a,c\ninsert 6: a,a,b,base\ninsert 7: a,a,c\n7563412\n",
+            "10 2 1 3 4 5 6 7 8 9": "insert 9: base\ninsert 8: d\ninsert 7: d\ninsert 6: d\n"
+            "insert 5: d\ninsert 4: d\ninsert 3: d\ninsert 1: d\ninsert 2: b,d\n"
+            "insert 10: c\n10 1 2 3 4 5 6 7 8 9\n",
+        }
+        for perm, out in expected.items():
+            assert run(capsys, "map", "--phi", perm, "--trace")[:2] == (0, out)
 
     def test_psi_trace(self, capsys):
         code, out, _ = run(capsys, "map", "--psi", "312", "--trace")

@@ -50,16 +50,18 @@ def oracle_des_positions(w):
 
 
 def oracle_ai(w):
+    """Inversions (i, j) with w(j) < w(j+1), or w(j) > w(k) for some i < k < j:
+    per j, scan i leftwards keeping the least letter strictly between."""
     n = len(w)
     count = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if w[i - 1] <= w[j - 1]:
-                continue
-            clause1 = j < n and w[j - 1] < w[j]
-            clause2 = any(w[j - 1] > w[k - 1] for k in range(i + 1, j))
-            if clause1 or clause2:
+    for j in range(2, n + 1):
+        y = w[j - 1]
+        clause1 = j < n and y < w[j]
+        between = float("inf")
+        for i in range(j - 1, 0, -1):
+            if w[i - 1] > y and (clause1 or between < y):
                 count += 1
+            between = min(between, w[i - 1])
     return count
 
 
@@ -330,9 +332,8 @@ class TestRawlings:
 
 
 class TestAgainstOracles:
-    """The inversion-flavored kernels and the one-pass hook statistics
-    against the quadratic and cubic definitions: exhaustively over S_n, and
-    on long words."""
+    """The inversion-flavored kernels, the one-pass hook statistics and aix
+    against their definitions: exhaustively over S_n, and on long words."""
 
     def test_all_permutations(self):
         for n in range(8):
@@ -342,6 +343,7 @@ class TestAgainstOracles:
                 assert stats.aid(p) == oracle_ai(p) + len(oracle_des_positions(p))
                 assert stats.mix(p) == oracle_mix(p)
                 assert (stats.pix(p), stats.lec(p)) == oracle_pix_lec(p)
+                assert stats.aix(p) == oracle_aix(p)
 
     @settings(deadline=None, max_examples=20)
     @given(long_words)
@@ -351,6 +353,7 @@ class TestAgainstOracles:
         assert stats.ai(w) == expected
         assert stats.aid(w) == expected + len(oracle_des_positions(w))
         assert (stats.pix(w), stats.lec(w)) == oracle_pix_lec(w)
+        assert stats.aix(w) == oracle_aix(w)
 
     @settings(deadline=None, max_examples=20)
     @given(long_permutations)
@@ -373,6 +376,7 @@ class TestVeryLongWords:
         assert stats.mix(w) == n - 1
         assert stats.lec(w) == n // 2  # n // 2 hooks (2, 1) after pi0 = (n) or ()
         assert stats.pix(w) == n % 2
+        assert stats.aix(w) == 0
         assert bijections.avoids(w, 321) is False
         assert bijections.avoids(w, 312) is True
 
@@ -381,6 +385,7 @@ class TestVeryLongWords:
         for name in ("inv", "ai", "aid", "mix", "lec"):
             assert getattr(stats, name)(w) == 0
         assert stats.pix(w) == self.N
+        assert stats.aix(w) == self.N
         assert bijections.avoids(w, 321) is True
         assert bijections.avoids(w, 312) is True
 
