@@ -14,12 +14,19 @@ decreasing word of size n, linear on most words. phi_inverse builds the tree
 once, by a monotone-stack pass (Gabow, Bentley & Tarjan, 1984), and reverses
 the surgery, peeling the leftmost letter each time. The tuple form of f
 (split at the minimum, rebuild the tail) is the tests' oracle.
+
+psi composes the chain's mirrors into one relabeling of values over sorted
+chain sets built in one pass from the right: O(n log n) plus the total size
+of the sets. Rebuilding the word per set is the tests' oracle.
 """
 from __future__ import annotations
 
-from .core import Word, complement_subword_on, left_to_right_maxima
-# bench/tracing.py patches this name until ROADMAP item 1 retargets it
-from .core import split_at_min  # noqa: F401
+from bisect import bisect_left
+from typing import Iterator
+
+from .core import Word
+# bench/tracing.py patches these names until ROADMAP item 1 retargets it
+from .core import complement_subword_on, split_at_min  # noqa: F401
 from .errors import InvariantViolation, LetterCollision, UnknownPattern
 
 
@@ -177,24 +184,41 @@ def phi_inverse(q: Word) -> Word:
     return tuple([val[_uninsert(kids)] for _ in q])
 
 
-def psi_chain(p: Word) -> tuple[frozenset[int], ...]:
-    """The letter sets of the psi chain, in application order (first applied first).
+def _chain(p: Word) -> Iterator[list[int]]:
+    """The letter sets of the psi chain, each sorted, in application order.
 
-    With m_1 < ... < m_k the left-to-right maximum values of p and B_i the
-    set of letters smaller than and to the right of m_i, the chain applies
-    B_k, then B_k & B_{k-1}, B_{k-1}, ..., B_2, B_2 & B_1, B_1. Every set is
-    computed once, from p itself.
+    With m_1 < ... < m_k the left-to-right maxima of p and B_i the letters
+    smaller than m_i to its right, the chain is B_k, B_k & B_{k-1}, B_{k-1},
+    ..., B_2 & B_1, B_1. B_i is B_{i+1} with the letters between m_i and
+    m_{i+1} merged in, cut at m_i; every letter of B_i lies right of
+    m_{i-1}, so B_i & B_{i-1} is B_i cut at m_{i-1}.
     """
-    lrm = left_to_right_maxima(p)
-    b_sets = []
-    for pos, val in zip(lrm.positions, lrm.values):
-        b_sets.append(frozenset(x for x in p[pos:] if x < val))
-    chain: list[frozenset[int]] = []
-    for i in range(len(b_sets) - 1, -1, -1):
-        chain.append(b_sets[i])
-        if i > 0:
-            chain.append(b_sets[i] & b_sets[i - 1])
-    return tuple(chain)
+    if len(set(p)) < len(p):
+        seen: set[int] = set()
+        raise LetterCollision(next(x for x in p if x in seen or seen.add(x)))
+    maxima, segments = [], []  # segments[i]: the letters between m_i and m_{i+1}
+    top, segment = 0, []  # letters are >= 1, so the first one is a maximum
+    for x in p:
+        if x > top:
+            top = x
+            maxima.append(x)
+            segment = []
+            segments.append(segment)
+        else:
+            segment.append(x)
+    below: list[int] = []
+    for i in range(len(maxima) - 1, -1, -1):
+        if segments[i]:
+            below = sorted(below + segments[i])
+        below = below[:bisect_left(below, maxima[i])]
+        yield below
+        if i:
+            yield below[:bisect_left(below, maxima[i - 1])]
+
+
+def psi_chain(p: Word) -> tuple[frozenset[int], ...]:
+    """The letter sets of the psi chain, in application order (first applied first)."""
+    return tuple(map(frozenset, _chain(p)))
 
 
 def psi(p: Word) -> Word:
@@ -205,11 +229,20 @@ def psi(p: Word) -> Word:
     The positional-reversal reading of the factors breaks the transfer of
     the descent-flavored statistic for some permutations with two maxima;
     the value mirror satisfies every contract, so it is the one used.
+
+    The mirrors compose to one relabeling: where[v] is the letter of p
+    holding the value v now, and each sorted set reverses where on itself.
+    Cost: O(n log n) plus the total size of the chain sets, quadratic only
+    when many maxima share large sets.
     """
-    out = p
-    for letters in psi_chain(p):
-        out = complement_subword_on(out, letters)
-    return out
+    where: dict[int, int] = {}
+    for letters in _chain(p):
+        if len(letters) > 1:  # a set of one letter mirrors onto itself
+            held = [*map(where.get, letters, letters)]
+            held.reverse()
+            where.update(zip(letters, held))
+    value = {x: v for v, x in where.items()}
+    return tuple(map(value.get, p, p))
 
 
 def avoids(p: Word, pattern) -> bool:

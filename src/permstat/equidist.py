@@ -93,13 +93,26 @@ class Columns(dict):
     g{k} are None where w has k, and so is every image of that row. The
     functions are looked up on their modules once per column, so a patched
     one sees every call. spent maps each key to (objects, seconds).
+
+    A table made by filtered(where) holds the rows whose value of where is
+    true; it reads a column its whole table already holds, compressed to
+    those rows, and computes only the others.
     """
 
-    def __init__(self, objects: list, spent: dict):
+    def __init__(self, objects: list, spent: dict, whole: tuple | None = None):
         super().__init__(p=objects)
         self.spent = spent
+        self.whole = whole  # (table, mask): the table these rows were filtered from
+
+    def filtered(self, where: str) -> Columns:
+        mask = self[where]
+        return Columns(list(itertools.compress(self["p"], mask)), self.spent, (self, mask))
 
     def __missing__(self, key: str) -> list:
+        if self.whole and key in self.whole[0]:
+            table, mask = self.whole
+            column = self[key] = list(itertools.compress(table[key], mask))
+            return column
         image, _, name = key.rpartition(".")
         if name.startswith("rmaj:"):  # read off the profile rawlings(w) = (rmaj:1, ..., rmaj:n)
             r = sys.maxsize if name == "rmaj:n" else int(name[5:])
@@ -358,8 +371,7 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
                         break
             checks = [check for check in checks if found[check[0]][0] is None]
             for (keys, where), tally in counts.items():  # a filter gets a table of its rows
-                table = columns if where is None else Columns(
-                    list(itertools.compress(chunk, columns[where])), spent)
+                table = columns if where is None else columns.filtered(where)
                 tally.update(zip(*map(table.__getitem__, keys)))
             size += len(chunk)
             if not checks and not counts:

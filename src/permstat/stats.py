@@ -335,11 +335,10 @@ def resolve_statistic(name: str):
 
 
 def stat_vector(w: Word, names: list[str] | tuple[str, ...]) -> tuple[tuple[str, int], ...]:
-    """Evaluate named statistics in the requested order."""
+    """Evaluate named statistics in the requested order. A permutation-only
+    statistic raises WordNotPermutation(name) itself on any other word."""
     out = []
     for name in names:
-        func, perm_only = resolve_statistic(name)
-        if perm_only and not is_permutation(w):
-            raise WordNotPermutation(name)
+        func, _ = resolve_statistic(name)
         out.append((name, func(w)))
     return tuple(out)

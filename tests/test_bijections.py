@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from permstat import bijections, equidist, stats
-from permstat.core import identity, left_to_right_maxima, restrict_below, split_at_min
+from permstat.core import (
+    complement_subword_on,
+    identity,
+    left_to_right_maxima,
+    restrict_below,
+    split_at_min,
+)
 from permstat.errors import InvariantViolation, LetterCollision, PermstatError
 
 
@@ -117,6 +123,29 @@ def oracle_phi_inverse(q):
         k, q = oracle_f_uninsert(q)
         letters.append(k)
     return tuple(letters)
+
+
+# -- psi as a fold of subword mirrors: the oracle for the relabeling ---------
+
+def oracle_psi_chain(p):
+    """The chain B_k, B_k & B_{k-1}, B_{k-1}, ..., B_1, each B_i built from p
+    as the letters smaller than and to the right of the i-th maximum."""
+    lrm = left_to_right_maxima(p)
+    b_sets = [frozenset(x for x in p[pos:] if x < val)
+              for pos, val in zip(lrm.positions, lrm.values)]
+    chain = []
+    for i in range(len(b_sets) - 1, -1, -1):
+        chain.append(b_sets[i])
+        if i > 0:
+            chain.append(b_sets[i] & b_sets[i - 1])
+    return tuple(chain)
+
+
+def oracle_psi(p):
+    """Mirror the subword on each chain set in turn, rebuilding the word."""
+    for letters in oracle_psi_chain(p):
+        p = complement_subword_on(p, letters)
+    return p
 
 
 def has_pattern(word, pat):
@@ -369,6 +398,55 @@ class TestPsi:
         for n in range(1, 8):
             for p in all_perms(n):
                 assert left_to_right_maxima(bijections.psi(p)) == left_to_right_maxima(p)
+
+    def test_repeated_letter(self):
+        for w in ((2, 1, 1), (1, 1), (3, 1, 3, 2)):
+            for fn in (bijections.psi, bijections.psi_chain):
+                with pytest.raises(LetterCollision) as err:
+                    fn(w)
+                assert w.count(err.value.letter) > 1
+
+
+class TestPsiAgainstOracle:
+    """psi relabels values over the sorted chain sets; folding the subword
+    mirror over the frozenset chain must give the same chain and image."""
+
+    def test_all_permutations(self):
+        for n in range(9):
+            for p in all_perms(n):
+                assert bijections.psi_chain(p) == oracle_psi_chain(p)
+                assert bijections.psi(p) == oracle_psi(p)
+
+    @settings(deadline=None, max_examples=30)
+    @given(sparse_words)
+    def test_sparse_words(self, w):
+        assert bijections.psi_chain(w) == oracle_psi_chain(w)
+        assert bijections.psi(w) == oracle_psi(w)
+
+
+class TestPsiOnVeryLongWords:
+    """Closed forms of psi on long words. The increasing 10^5-word has
+    2 * 10^5 - 1 chain sets: rebuilding the word per set would not finish."""
+
+    def test_increasing_word_is_fixed(self):
+        w = identity(100_000)
+        assert bijections.psi(w) == w
+
+    def test_decreasing_word(self):
+        # one maximum n, one set {1..n-1} mirrored in place
+        n = 20_000
+        assert bijections.psi(tuple(range(n, 0, -1))) == (n, *range(1, n))
+
+    def test_maxima_sharing_one_large_set(self):
+        # every one of the 2m - 1 chain sets is {1..m}: the quadratic case
+        m = 1000
+        w = (*range(m + 1, 2 * m + 1), *range(1, m + 1))
+        assert bijections.psi_chain(w) == (frozenset(range(1, m + 1)),) * (2 * m - 1)
+        assert bijections.psi(w) == (*range(m + 1, 2 * m + 1), *range(m, 0, -1))
+
+    def test_random_word_of_size_100000_is_an_involution(self):
+        w = tuple(random.Random(11).sample(range(1, 10**9), 100_000))
+        assert bijections.psi(bijections.psi(w)) == w
 
 
 class TestAvoidance:

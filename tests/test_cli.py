@@ -108,9 +108,17 @@ class TestMapCommand:
             assert run(capsys, "map", "--phi", perm, "--trace")[:2] == (0, out)
 
     def test_psi_trace(self, capsys):
-        code, out, _ = run(capsys, "map", "--psi", "312", "--trace")
-        assert code == 0
-        assert out.splitlines() == ["mirror {1,2}", "321"]
+        # byte for byte: one maximum, sets of one letter, an empty set in
+        # the middle of the chain, and a two-digit maximum
+        expected = {
+            "312": "mirror {1,2}\n321\n",
+            "2413": "mirror {1,3}\nmirror {1}\nmirror {1}\n2431\n",
+            "21543": "mirror {3,4}\nmirror {}\nmirror {1}\n21534\n",
+            "4213756": "mirror {5,6}\nmirror {}\nmirror {1,2,3}\n4231765\n",
+            "10 2 1 3 4 5 6 7 8 9": "mirror {1,2,3,4,5,6,7,8,9}\n10 8 9 7 6 5 4 3 2 1\n",
+        }
+        for perm, out in expected.items():
+            assert run(capsys, "map", "--psi", perm, "--trace")[:2] == (0, out)
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "map", "--phi", "312", "--format", "json")

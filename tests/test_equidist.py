@@ -230,6 +230,12 @@ class TestChunks:
         assert len(calls) == sum(equidist._catalan(n) for n in range(8)) == 626
         assert all(bijections.avoids(p, "321") for p in calls)
 
+    def test_filtered_tally_reuses_the_chunks_columns(self):
+        # under "all" the psi suite computes psi on every permutation; the
+        # kratt tally of psi over the 321-avoiders reads that column
+        report = verify_suite(5, "all")
+        assert report["values"]["psi"]["objects"] == sum(math.factorial(n) for n in range(6)) == 154
+
     def test_joint_distribution_of_a_one_shot_iterator_longer_than_a_chunk(self):
         assert math.factorial(6) > 3 * equidist.CHUNK
         perms = iter(all_permutations(6))

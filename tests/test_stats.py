@@ -446,6 +446,14 @@ class TestStatVector:
         with pytest.raises(WordNotPermutation):
             stats.stat_vector((2, 5), ["exc"])
 
+    def test_permutation_only_names_the_statistic(self):
+        names = [name for name, (_, perm_only) in stats.REGISTRY.items() if perm_only]
+        assert sorted(names) == ["das", "exc", "fix", "ides", "imaj", "mix"]
+        for name in (*names, "rmaj:2"):
+            with pytest.raises(WordNotPermutation) as err:
+                stats.stat_vector((2, 1, 5), ["des", name])
+            assert err.value.name == name
+
     def test_inverse_consistency(self):
         for n in range(6):
             for p in all_perms(n):
