@@ -1,30 +1,20 @@
 """The recursive insertion map f, the bijection phi, the involution psi,
 and pattern-avoidance predicates.
 
-f inserts a new letter k into a word t of distinct letters (k not in t),
-always producing a word that starts with k. phi folds f over a permutation
-from its rightmost letter to its leftmost. psi mirrors the values of a chain
-of subwords determined by the left-to-right maxima.
-
-f runs on the min-rooted Cartesian tree of t = alpha m beta (Vuillemin,
-1980): m, the least letter, at the root, the trees of alpha and beta as its
-children. Each rule is O(1) surgery at the node it reaches, so phi, folding
-every letter into one tree, costs O(rule steps): about n^2/4 on the
-decreasing word of size n, linear on most words. phi_inverse builds the tree
-once, by a monotone-stack pass (Gabow, Bentley & Tarjan, 1984), and reverses
-the surgery, peeling the leftmost letter each time. The tuple form of f
-(split at the minimum, rebuild the tail) is the tests' oracle.
-
-psi composes the chain's mirrors into one relabeling of values over sorted
-chain sets built in one pass from the right: O(n log n) plus the total size
-of the sets. Rebuilding the word per set is the tests' oracle.
+f inserts a new letter k into a word t of distinct letters, giving a word
+that starts with k; phi folds f over a permutation from its rightmost letter
+to its leftmost. f runs on the min-rooted Cartesian tree of t (Vuillemin,
+1980), one O(1) surgery per rule step; phi_inverse builds the tree by a
+monotone-stack pass (Gabow, Bentley & Tarjan, 1984) and reverses the
+surgery. psi composes the mirrors of a chain of letter sets, read off the
+left-to-right maxima, into one relabeling. The tests keep the tuple forms.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterator
+from collections import deque
 
-from .core import Word
+from .core import BELOW, Word
 # bench/tracing.py patches these names until ROADMAP item 1 retargets it
 from .core import complement_subword_on, split_at_min  # noqa: F401
 from .errors import InvariantViolation, LetterCollision, UnknownPattern
@@ -38,12 +28,19 @@ InsertionTrace = tuple[str, ...]
 # and kids[2v], kids[2v + 1] are its left and right children (0 for none).
 # Node 0 lies below every letter and its right child kids[1] is the root, so
 # a slot s (the place kids[s] that holds a subtree) covers the root too.
-_BELOW = float("-inf")
+_DISCARD = deque(maxlen=0).append  # a note that keeps nothing
+
+
+def _distinct(w: Word) -> None:
+    """Raise LetterCollision on the first letter, read from the right, seen twice."""
+    if len(set(w)) < len(w):
+        seen: set[int] = set()
+        raise LetterCollision(next(x for x in reversed(w) if x in seen or seen.add(x)))
 
 
 def _tree(w: Word) -> tuple[list, list[int]]:
     """The tree of w, node v at position v, by one monotone-stack pass."""
-    val = [_BELOW, *w]
+    val = [BELOW, *w]
     kids = [0] * (2 * len(val))
     spine = [0]  # the right spine so far: letters increase towards its end
     for v, x in enumerate(w, 1):
@@ -57,39 +54,37 @@ def _tree(w: Word) -> tuple[list, list[int]]:
     return val, kids
 
 
-def _insert(val: list, kids: list[int], v: int) -> InsertionTrace:
-    """Insert the childless node v, holding k = val[v], by the rules of f.
-    At the node m in slot s: d puts v there with the subtree as its right
-    child; b moves beta to m's empty left, a leaves alpha there, and both go
-    on in that slot; c makes v m's left child and alpha its right; base puts
-    v in an empty slot.
+def _insert(val: list, kids: list[int], v: int, note) -> None:
+    """Insert the childless node v, holding k = val[v], by the rules of f,
+    passing each rule's name to note. At the node m in slot s: d puts v
+    there with the subtree as its right child; b moves beta to m's empty
+    left, a leaves alpha there, and both go on in that slot; c makes v m's
+    left child and alpha its right; base puts v in an empty slot.
     """
     k = val[v]
-    steps = []
     s = 1
     while True:
         m = kids[s]
         if not m:
-            steps.append("base")
+            note("base")
             kids[s] = v
-            break
+            return
         if k < val[m]:
-            steps.append("d")
+            note("d")
             kids[2 * v + 1] = m
             kids[s] = v
-            break
+            return
         s = 2 * m
         alpha, beta = kids[s], kids[s + 1]
         if not alpha:
-            steps.append("b")
+            note("b")
             kids[s], kids[s + 1] = beta, 0
         elif beta:
-            steps.append("a")
+            note("a")
         else:
-            steps.append("c")
+            note("c")
             kids[s], kids[s + 1] = v, alpha
-            break
-    return tuple(steps)
+            return
 
 
 def _uninsert(kids: list[int]) -> int:
@@ -148,72 +143,80 @@ def f_insert(k: int, t: Word) -> tuple[Word, InsertionTrace]:
     val, kids = _tree(t)
     val.append(k)
     kids += (0, 0)
-    trace = _insert(val, kids, len(t) + 1)
-    return _word(val, kids), trace
+    steps: list[str] = []
+    _insert(val, kids, len(t) + 1, steps.append)
+    return _word(val, kids), tuple(steps)
 
 
 def f_uninsert(q: Word) -> tuple[int, Word]:
     """Recover (k, t) from q = f_insert(k, t). Inverse of one insertion."""
     if not q:
         raise InvariantViolation("cannot un-insert from the empty word")
+    _distinct(q)
     val, kids = _tree(q)
     k = val[_uninsert(kids)]
     return k, _word(val, kids)
 
 
-def phi_with_traces(p: Word) -> tuple[Word, tuple[InsertionTrace, ...]]:
-    """Fold f over p from its rightmost letter to its leftmost, on one tree
-    whose node v is the v-th letter inserted; return phi(p) and the trace of
-    every insertion, the leftmost letter's last."""
-    if len(set(p)) < len(p):  # the letter f, inserting from the right, finds present
-        raise LetterCollision(next(k for i, k in reversed(list(enumerate(p))) if k in p[i + 1:]))
-    val = [_BELOW, *reversed(p)]
+def _fold(p: Word, note) -> Word:
+    """Fold f over p, rightmost letter first, into one tree (node v the v-th
+    letter inserted), passing each rule to note: about n^2/4 steps on n..1."""
+    _distinct(p)
+    val = [BELOW, *reversed(p)]
     kids = [0] * (2 * len(val))
-    traces = tuple([_insert(val, kids, v) for v in range(1, len(val))])
-    return _word(val, kids), traces
+    for v in range(1, len(val)):
+        _insert(val, kids, v, note)
+    return _word(val, kids)
+
+
+def phi_with_traces(p: Word) -> tuple[Word, tuple[InsertionTrace, ...]]:
+    """phi(p) and each insertion's trace, cut after its closing rule; the leftmost's last."""
+    steps: list[str] = []
+    image = _fold(p, steps.append)
+    ends = [i for i, step in enumerate(steps, 1) if step not in ("a", "b")]
+    return image, tuple(tuple(steps[i:j]) for i, j in zip([0, *ends], ends))
 
 
 def phi(p: Word) -> Word:
-    """The bijection phi: phi_with_traces without the traces."""
-    return phi_with_traces(p)[0]
+    """The bijection phi: f folded over p, recording no trace."""
+    return _fold(p, _DISCARD)
 
 
 def phi_inverse(q: Word) -> Word:
     """The unique p with phi(p) = q, by peeling one insertion at a time."""
+    _distinct(q)
     val, kids = _tree(q)
     return tuple([val[_uninsert(kids)] for _ in q])
 
 
-def _chain(p: Word) -> Iterator[list[int]]:
+def _chain(p: Word) -> list[list[int]]:
     """The letter sets of the psi chain, each sorted, in application order.
-
     With m_1 < ... < m_k the left-to-right maxima of p and B_i the letters
     smaller than m_i to its right, the chain is B_k, B_k & B_{k-1}, B_{k-1},
-    ..., B_2 & B_1, B_1. B_i is B_{i+1} with the letters between m_i and
-    m_{i+1} merged in, cut at m_i; every letter of B_i lies right of
-    m_{i-1}, so B_i & B_{i-1} is B_i cut at m_{i-1}.
+    ..., B_2 & B_1, B_1. Every letter of B_i lies right of m_{i-1}, so
+    B_i & B_{i-1} is B_i cut at m_{i-1}, a prefix of B_i; merging in the
+    letters between m_{i-1} and m_i gives B_{i-1}.
     """
-    if len(set(p)) < len(p):
-        seen: set[int] = set()
-        raise LetterCollision(next(x for x in p if x in seen or seen.add(x)))
+    _distinct(p)
     maxima, segments = [], []  # segments[i]: the letters between m_i and m_{i+1}
     top, segment = 0, []  # letters are >= 1, so the first one is a maximum
     for x in p:
         if x > top:
             top = x
             maxima.append(x)
-            segment = []
-            segments.append(segment)
+            segments.append(segment := [])
         else:
             segment.append(x)
-    below: list[int] = []
+    chain, below = [], []
     for i in range(len(maxima) - 1, -1, -1):
         if segments[i]:
-            below = sorted(below + segments[i])
-        below = below[:bisect_left(below, maxima[i])]
-        yield below
+            below = below + segments[i]
+            below.sort()
+        chain.append(below)
         if i:
-            yield below[:bisect_left(below, maxima[i - 1])]
+            below = below[:bisect_left(below, maxima[i - 1])]
+            chain.append(below)
+    return chain
 
 
 def psi_chain(p: Word) -> tuple[frozenset[int], ...]:
@@ -223,25 +226,22 @@ def psi_chain(p: Word) -> tuple[frozenset[int], ...]:
 
 def psi(p: Word) -> Word:
     """The subword-flipping involution; fixes the left-to-right maxima.
-
-    Each chain factor flips the subword on its letter set by the value
-    mirror (i-th smallest letter of the set <-> i-th largest, in place).
-    The positional-reversal reading of the factors breaks the transfer of
-    the descent-flavored statistic for some permutations with two maxima;
-    the value mirror satisfies every contract, so it is the one used.
-
-    The mirrors compose to one relabeling: where[v] is the letter of p
-    holding the value v now, and each sorted set reverses where on itself.
-    Cost: O(n log n) plus the total size of the chain sets, quadratic only
-    when many maxima share large sets.
+    Each chain factor mirrors the values on its letter set (i-th smallest
+    <-> i-th largest, in place); mirroring positions instead breaks the
+    descent transfer for some permutations with two maxima. where[v] is the
+    letter of p holding v now. A set B_i and its prefix B_i & B_{i-1} of b
+    letters are one step on B_i: the holders of its top b values move to the
+    bottom b, the rest reverse into the top. Cost: O(n log n) plus the total
+    size of the chain sets.
     """
+    chain = _chain(p)
     where: dict[int, int] = {}
-    for letters in _chain(p):
-        if len(letters) > 1:  # a set of one letter mirrors onto itself
+    for letters, prefix in zip(chain[::2], [*chain[1::2], []]):
+        moved = len(letters) - len(prefix)
+        if moved and len(letters) > 1:  # else the mirrors cancel, or one letter stays
             held = [*map(where.get, letters, letters)]
-            held.reverse()
-            where.update(zip(letters, held))
-    value = {x: v for v, x in where.items()}
+            where.update(zip(letters, held[moved:] + held[moved - 1::-1]))
+    value = dict(zip(where.values(), where))
     return tuple(map(value.get, p, p))
 
 

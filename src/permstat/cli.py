@@ -34,11 +34,8 @@ def cmd_stats(args) -> int:
     else:
         names = _default_names(word)
         if not is_permutation(word):
-            print(
-                "note: input is not a permutation of 1..n; "
-                "permutation-only statistics omitted",
-                file=sys.stderr,
-            )
+            print("note: input is not a permutation of 1..n; "
+                  "permutation-only statistics omitted", file=sys.stderr)
     vector = stats.stat_vector(word, names)
     if args.format == "json":
         print(json.dumps({"word": format_word(word), "stats": dict(vector)}))

@@ -13,16 +13,15 @@ new tuple.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateLetter, EmptyWord, NotAPermutation, ParseError
 
 Word = tuple[int, ...]
+BELOW = float("-inf")  # lies below every letter
 
 
-@dataclass(frozen=True)
-class LeftToRightMaxima:
+class LeftToRightMaxima(NamedTuple):
     """Positions (1-based, increasing) and values of the left-to-right maxima."""
 
     positions: tuple[int, ...]
@@ -92,11 +91,8 @@ def split_at_min(w: Word) -> tuple[Word, int, Word]:
 
 
 def complement_subword_on(w: Word, letters: Iterable[int]) -> Word:
-    """Replace each letter of the given set by its mirror value within the set.
-
-    The i-th smallest letter of the set becomes the i-th largest, in place;
-    letters outside the set are unchanged. An involution for every fixed set.
-    """
+    """Replace each letter of the given set by its mirror in the set (the i-th
+    smallest by the i-th largest), leaving the others: an involution."""
     ordered = sorted(set(letters))
     mirror = {x: y for x, y in zip(ordered, reversed(ordered))}
     return tuple(mirror.get(x, x) for x in w)

@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import eq, gt, lt
 
-from .core import Word, first_letter, inverse, is_permutation
-# bench/tracing.py patches this name until ROADMAP item 1 retargets it
-from .core import split_at_min  # noqa: F401
+from .core import BELOW, Word, first_letter, is_permutation
+# bench/tracing.py patches these names until ROADMAP item 1 retargets it
+from .core import inverse, split_at_min  # noqa: F401
 from .errors import InvalidR, UnknownStatistic, WordNotPermutation
 
 
@@ -30,18 +31,14 @@ class HookFactorization:
 
 # -- classic statistics ------------------------------------------------------
 
-def des_set(w: Word) -> set[int]:
-    """Positions i (1-based) with w(i) > w(i+1)."""
-    return {i for i in range(1, len(w)) if w[i - 1] > w[i]}
-
-
 def des(w: Word) -> int:
-    return len(des_set(w))
+    """Number of descents, the positions i with w(i) > w(i+1)."""
+    return sum(map(gt, w, w[1:]))
 
 
 def maj(w: Word) -> int:
     """Sum of descent positions."""
-    return sum(des_set(w))
+    return sum(itertools.compress(range(1, len(w)), map(gt, w, w[1:])))
 
 
 def inv(w: Word) -> int:
@@ -62,61 +59,81 @@ def ini(w: Word) -> int:
 
 
 def _require_permutation(w: Word, name: str) -> None:
-    if not is_permutation(w):
+    """Raise WordNotPermutation(name) unless core.is_permutation(w)."""
+    if sorted(w) != [*range(1, len(w) + 1)]:
         raise WordNotPermutation(name)
 
 
-def exc_set(p: Word) -> set[int]:
-    """Positions i with p(i) > i. Permutations only."""
-    _require_permutation(p, "exc")
-    return {i for i, x in enumerate(p, start=1) if x > i}
+def _inverse(p: Word, name: str) -> list[int]:
+    """The inverse of p as a list, checked while it is built: a letter above
+    n is out of range, one below 1 wraps, a repeated one leaves a hole."""
+    q = [0] * len(p)
+    try:
+        for i, x in enumerate(p, start=1):
+            q[x - 1] = i
+    except (IndexError, TypeError):  # a permutation of non-integers fails as inverse does
+        if is_permutation(p):
+            raise
+        q = [0]
+    if 0 in q or p and min(p) < 1:
+        raise WordNotPermutation(name)
+    return q
 
 
 def exc(p: Word) -> int:
-    return len(exc_set(p))
+    """Number of positions i with p(i) > i. Permutations only."""
+    _require_permutation(p, "exc")
+    return sum(map(gt, p, range(1, len(p) + 1)))
 
 
 def fix(p: Word) -> int:
     """Number of fixed points. Permutations only."""
     _require_permutation(p, "fix")
-    return sum(1 for i, x in enumerate(p, start=1) if x == i)
+    return sum(map(eq, p, range(1, len(p) + 1)))
 
 
 def imaj(p: Word) -> int:
-    _require_permutation(p, "imaj")
-    return maj(inverse(p))
+    return maj(_inverse(p, "imaj"))
 
 
 def ides(p: Word) -> int:
-    _require_permutation(p, "ides")
-    return des(inverse(p))
+    return des(_inverse(p, "ides"))
 
 
 # -- admissible inversions ---------------------------------------------------
 
-def ai(w: Word) -> int:
-    """Inversions (i, j) with w(j) < w(j+1), or w(j) > w(k) for some i < k < j.
-
+def _admissible(w: Word) -> tuple[int, int]:
+    """(ai, des + 1) in one pass, (0, 0) for the empty word:
     ai = inv - sum (j - 1 - L(j)) over j = |w| and the descents j, where L(j)
     is the nearest position left of j with a smaller letter (0 if none): the
     letters strictly between are larger than w(j), so exactly the inversions
-    (i, j) with i > L(j) are inadmissible. A monotone stack finds each L(j).
+    (i, j) with i > L(j) are inadmissible. A monotone stack finds each L(j):
+    an ascent j joins it, a descent pops the letters above w(j+1).
     """
-    n = len(w)
-    left = [0]  # positions of increasing letters; 0 lies below every letter
-    inadmissible = 0
-    for j, x in enumerate(w, start=1):
-        while left[-1] and w[left[-1] - 1] > x:
-            left.pop()
-        if j == n or x > w[j]:
+    v = (BELOW, *w, BELOW)
+    left = [0]  # positions of increasing letters, the last one L(j)
+    inadmissible = ends = 0
+    for j in range(1, len(w) + 1):
+        y = v[j + 1]
+        if v[j] > y:  # a descent, or j = |w|
             inadmissible += j - 1 - left[-1]
-        left.append(j)
-    return inv(w) - inadmissible
+            ends += 1
+            while v[left[-1]] > y:
+                left.pop()
+        else:
+            left.append(j)
+    return inv(w) - inadmissible, ends
+
+
+def ai(w: Word) -> int:
+    """Inversions (i, j) with w(j) < w(j+1), or w(j) > w(k) for some i < k < j."""
+    return _admissible(w)[0]
 
 
 def aid(w: Word) -> int:
-    """ai + des."""
-    return ai(w) + des(w)
+    """ai + des, from one pass."""
+    admissible, ends = _admissible(w)
+    return admissible + ends - 1 if ends else 0
 
 
 # -- hook factorization ------------------------------------------------------
@@ -211,8 +228,7 @@ def mix(p: Word) -> int:
     Per j, bisection counts the left-to-right maxima above p(j) before j (the
     first kind) and the k letters below p(j) left of j. The a - 1 letters left
     of a, the first such maximum, are below p(j): the second kind is k - a + 1.
-    """
-    _require_permutation(p, "mix")
+    The letters seen end sorted: the permutation check."""
     seen: list[int] = []  # letters left of j, sorted
     maxima: list[int] = []  # the left-to-right maxima, increasing
     positions: list[int] = []  # their positions
@@ -226,6 +242,8 @@ def mix(p: Word) -> int:
         else:
             maxima.append(x)
             positions.append(j)
+    if seen != [*range(1, len(p) + 1)]:  # seen is sorted(p), so p fails is_permutation
+        raise WordNotPermutation("mix")
     return count
 
 
@@ -234,16 +252,15 @@ def das(p: Word) -> int:
     an ascent's right letter is dominated by some earlier letter.
     """
     _require_permutation(p, "das")
-    n = len(p)
     count = 0
-    best = 0
-    for i in range(1, n):
-        if p[i - 1] > p[i]:
-            if p[i - 1] > best:
+    best = 0  # the largest letter left of x
+    for x, y in zip(p, p[1:]):
+        if x > best:
+            best = x
+            if x > y:
                 count += 1
-        elif best > p[i]:
+        elif best > y > x:
             count += 1
-        best = max(best, p[i - 1])
     return count
 
 
@@ -263,32 +280,26 @@ def rawlings(p: Word, r: int | None = None) -> int | tuple[int, ...]:
     plus the inversions (i, j) with p(i) - p(j) < r, counted. rmaj:1 = maj,
     and rmaj:r = inv for every r >= n.
 
-    With r omitted, the tuple (rmaj:1, ..., rmaj:n) from one pass: raising r
-    by one moves the pairs of gap exactly r from the descent sum to the
-    inversion count (Rawlings, 1981). The inversions of gap g are the
-    values x with x + g to their left, read off the inverse, so one r costs
-    O(n r).
-    """
-    _require_permutation(p, "rmaj" if r is None else f"rmaj:{r}")
+    With r omitted, the tuple (rmaj:1, ..., rmaj:n): raising r by one moves
+    the pairs of gap exactly r from the descent sum to the inversion count
+    (Rawlings, 1981). The inversions of gap g, the x with x + g to their
+    left, are one comparison of the inverse with itself shifted by g, so one
+    r costs O(n r)."""
+    pos = _inverse(p, "rmaj" if r is None else f"rmaj:{r}")
     if r is not None and r < 1:
         raise InvalidR("r must be >= 1")
     n = len(p)
     top = n if r is None else min(r, n)
-    step = [0] * (n + 1)  # step[g] = rmaj:(g+1) - rmaj:g
+    step = [0] * (n + 1)  # step[g]: minus the positions of the descents of gap g
     value = 0  # becomes maj = rmaj:1
     for i in range(1, n):
         gap = p[i - 1] - p[i]
         if gap > 0:
             value += i
             step[gap] -= i
-    pos = inverse(p)
-    for x, px in enumerate(pos):
-        for g, q in enumerate(pos[x + 1 : x + top], start=1):
-            if q < px:
-                step[g] += 1
     profile = [value]
-    for g in range(1, top):
-        value += step[g]
+    for g in range(1, top):  # add the x with x + g to their left
+        value += step[g] + sum(map(lt, pos[g:], pos))
         profile.append(value)
     return tuple(profile[:n]) if r is None else profile[-1]
 
@@ -337,8 +348,4 @@ def resolve_statistic(name: str):
 def stat_vector(w: Word, names: list[str] | tuple[str, ...]) -> tuple[tuple[str, int], ...]:
     """Evaluate named statistics in the requested order. A permutation-only
     statistic raises WordNotPermutation(name) itself on any other word."""
-    out = []
-    for name in names:
-        func, _ = resolve_statistic(name)
-        out.append((name, func(w)))
-    return tuple(out)
+    return tuple((name, resolve_statistic(name)[0](w)) for name in names)

@@ -45,7 +45,7 @@ long_words = hyp.builds(
 sparse_words = hyp.builds(
     lambda n, rnd: tuple(rnd.sample(range(1, 10**9), n)),
     hyp.integers(min_value=0, max_value=300),
-    hyp.randoms(use_true_random=False),
+    hyp.randoms(use_true_random=True),
 )
 long_permutations = hyp.integers(min_value=0, max_value=300).flatmap(
     lambda n: hyp.permutations(range(1, n + 1))
@@ -278,6 +278,15 @@ class TestPhi:
         # inserting from the right, f meets the second 1 first
         with pytest.raises(LetterCollision, match="letter 1 "):
             bijections.phi((3, 1, 2, 1, 3))
+
+    def test_inverses_reject_a_repeated_letter(self):
+        # the tree would read a repeated letter as a larger one
+        cases = [(bijections.phi_inverse, (2, 2)), (bijections.phi_inverse, (1, 4, 2, 4)),
+                 (bijections.f_uninsert, (3, 1, 3)), (bijections.f_uninsert, (5, 5, 1))]
+        for fn, w in cases:
+            with pytest.raises(LetterCollision) as err:
+                fn(w)
+            assert w.count(err.value.letter) > 1
 
     def test_traces_cover_every_letter(self):
         p = (2, 5, 8, 9, 6, 3, 7, 1, 4)

@@ -70,6 +70,13 @@ class TestLeftToRightMaxima:
             (1,), (n,)
         )
 
+    def test_against_the_definition(self):
+        for n in range(8):
+            for p in itertools.permutations(range(1, n + 1)):
+                tops = [i for i in range(1, n + 1) if all(p[k] < p[i - 1] for k in range(i - 1))]
+                expected = core.LeftToRightMaxima(tuple(tops), tuple(p[i - 1] for i in tops))
+                assert core.left_to_right_maxima(p) == expected
+
     def test_permutation_always_has_first_position_and_max_value(self):
         for n in range(1, 7):
             for p in itertools.permutations(range(1, n + 1)):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from permstat import bijections, stats
-from permstat.core import identity, inverse
+from permstat.core import identity, inverse, is_permutation
 from permstat.errors import (
     EmptyWord,
     InvalidR,
@@ -32,7 +32,7 @@ def small_words(max_len=5, alphabet=range(1, 7)):
 long_words = hyp.builds(
     lambda n, rnd: tuple(rnd.sample(range(1, 10**6), n)),
     hyp.integers(min_value=0, max_value=300),
-    hyp.randoms(use_true_random=False),
+    hyp.randoms(use_true_random=True),
 )
 long_permutations = hyp.integers(min_value=0, max_value=300).flatmap(
     lambda n: hyp.permutations(range(1, n + 1))
@@ -47,6 +47,25 @@ def oracle_inv(w):
 
 def oracle_des_positions(w):
     return [i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1]]
+
+
+def oracle_exc(p):
+    return sum(1 for i in range(len(p)) if p[i] > i + 1)
+
+
+def oracle_fix(p):
+    return sum(1 for i in range(len(p)) if p[i] == i + 1)
+
+
+def oracle_inverse(p):
+    return tuple(p.index(x) + 1 for x in range(1, len(p) + 1))
+
+
+def oracle_rmaj(p, r):
+    """Descents of gap >= r, summed, plus inversions of gap < r, counted."""
+    return sum(i for i in oracle_des_positions(p) if p[i - 1] - p[i] >= r) + sum(
+        1 for i, j in itertools.combinations(range(len(p)), 2) if 0 < p[i] - p[j] < r
+    )
 
 
 def oracle_ai(w):
@@ -138,20 +157,19 @@ def brute_force_hook_factorizations(w):
 
 class TestClassicStats:
     def test_des_examples(self):
-        assert stats.des_set((3, 2, 1)) == {1, 2}
         assert stats.des((3, 2, 1)) == 2
         assert stats.des(identity(5)) == 0
         assert stats.des(PAPER_WORD) == 3  # descents at 4 (9>6), 5 (6>3), 7 (7>1)
 
     def test_des_against_oracle(self):
         for w in small_words():
-            assert sorted(stats.des_set(w)) == oracle_des_positions(w)
+            assert stats.des(w) == len(oracle_des_positions(w))
+            assert stats.maj(w) == sum(oracle_des_positions(w))
 
     def test_exc(self):
         assert stats.exc(identity(4)) == 0
         assert stats.exc((3, 2, 1)) == 1
         assert stats.exc((2, 3, 1)) == 2
-        assert stats.exc_set((2, 3, 1)) == {1, 2}
 
     def test_exc_requires_permutation(self):
         with pytest.raises(WordNotPermutation):
@@ -323,7 +341,7 @@ class TestRawlings:
             for p in all_perms(n):
                 rs = range(1, n + 3)
                 expected = [
-                    sum(i for i in stats.des_set(p) if p[i - 1] - p[i] >= r)
+                    sum(i for i in oracle_des_positions(p) if p[i - 1] - p[i] >= r)
                     + len(stats.inv_set_r(p, r))
                     for r in rs
                 ]
@@ -331,9 +349,25 @@ class TestRawlings:
                 assert stats.rawlings(p) == tuple(expected[:n])
 
 
+def check_linear_kernels(p):
+    """des, maj, exc, fix, imaj, ides and das of a permutation against their
+    definitions, and rmaj:2, rmaj:3 (O(n r) each)."""
+    descents = oracle_des_positions(p)
+    assert stats.des(p) == len(descents)
+    assert stats.maj(p) == sum(descents)
+    assert stats.exc(p) == oracle_exc(p)
+    assert stats.fix(p) == oracle_fix(p)
+    q = oracle_inverse(p)
+    assert stats.imaj(p) == sum(oracle_des_positions(q))
+    assert stats.ides(p) == len(oracle_des_positions(q))
+    assert stats.das(p) == oracle_das(p)
+    assert stats.rawlings(p, 2) == oracle_rmaj(p, 2)
+    assert stats.rawlings(p, 3) == oracle_rmaj(p, 3)
+
+
 class TestAgainstOracles:
-    """The inversion-flavored kernels, the one-pass hook statistics and aix
-    against their definitions: exhaustively over S_n, and on long words."""
+    """Every rewritten kernel against a transliteration of its definition:
+    exhaustively over S_n, and on long words and permutations."""
 
     def test_all_permutations(self):
         for n in range(8):
@@ -344,6 +378,8 @@ class TestAgainstOracles:
                 assert stats.mix(p) == oracle_mix(p)
                 assert (stats.pix(p), stats.lec(p)) == oracle_pix_lec(p)
                 assert stats.aix(p) == oracle_aix(p)
+                check_linear_kernels(p)
+                assert stats.rawlings(p) == tuple(oracle_rmaj(p, r) for r in range(1, n + 1))
 
     @settings(deadline=None, max_examples=20)
     @given(long_words)
@@ -359,6 +395,7 @@ class TestAgainstOracles:
     @given(long_permutations)
     def test_long_permutations(self, p):
         assert stats.mix(p) == oracle_mix(p)
+        check_linear_kernels(p)
 
 
 class TestVeryLongWords:
@@ -453,6 +490,39 @@ class TestStatVector:
             with pytest.raises(WordNotPermutation) as err:
                 stats.stat_vector((2, 1, 5), ["des", name])
             assert err.value.name == name
+
+    @pytest.mark.parametrize("w", [(2, 5), (0, 1), (1, 3), (1, 1), (2, 1, 5), (-1, 1), (3, 1)])
+    def test_every_permutation_check_rejects(self, w):
+        """A letter out of 1..n (0, negative, too large) or repeated fails
+        the check in each kernel, which names itself."""
+        names = [name for name, (_, perm_only) in stats.REGISTRY.items() if perm_only]
+        calls = [(name, stats.REGISTRY[name][0]) for name in names]
+        calls += [("rmaj:2", stats.resolve_statistic("rmaj:2")[0]), ("rmaj", stats.rawlings)]
+        for name, func in calls:
+            with pytest.raises(WordNotPermutation) as err:
+                func(w)
+            assert err.value.name == name
+
+    def test_every_permutation_check_is_is_permutation(self):
+        names = [name for name, (_, perm_only) in stats.REGISTRY.items() if perm_only]
+        calls = [stats.REGISTRY[name][0] for name in names]
+        calls += [stats.resolve_statistic("rmaj:2")[0], stats.rawlings]
+        for n in range(5):
+            for w in itertools.product(range(-1, 5), repeat=n):
+                for func in calls:
+                    try:
+                        func(w)
+                    except WordNotPermutation:
+                        assert not is_permutation(w)
+                    else:
+                        assert is_permutation(w)
+
+    def test_empty_permutation(self):
+        names = [name for name, (_, perm_only) in stats.REGISTRY.items() if perm_only]
+        for name in names:
+            assert stats.REGISTRY[name][0](()) == 0
+        assert stats.resolve_statistic("rmaj:2")[0](()) == 0
+        assert stats.rawlings(()) == ()
 
     def test_inverse_consistency(self):
         for n in range(6):
