@@ -140,6 +140,7 @@ def f_insert(k: int, t: Word) -> tuple[Word, InsertionTrace]:
     """
     if k in t:
         raise LetterCollision(k)
+    _distinct(t)
     val, kids = _tree(t)
     val.append(k)
     kids += (0, 0)

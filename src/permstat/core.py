@@ -45,10 +45,6 @@ def is_permutation(w: Sequence[int]) -> bool:
     return sorted(w) == list(range(1, len(w) + 1))
 
 
-def identity(n: int) -> Word:
-    return tuple(range(1, n + 1))
-
-
 def inverse(p: Word) -> Word:
     """The inverse permutation: q with q[p(i)] = i."""
     q = [0] * len(p)
@@ -114,7 +110,7 @@ def parse_word(text: str) -> Word:
         except ValueError as exc:
             raise ParseError(f"cannot parse {text!r} as a word") from exc
     else:
-        if not text.isdigit():
+        if not text.isdecimal():
             raise ParseError(f"cannot parse {text!r} as a word")
         letters = [int(c) for c in text]
         if 0 in letters:

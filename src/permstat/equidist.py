@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections, stats
 from .core import Word, left_to_right_maxima, restrict_below
-from .errors import InvalidSize, SizeCapExceeded, WordNotPermutation
+from .errors import InvalidSize, SizeCapExceeded, UnknownSuite, WordNotPermutation
 
 DEFAULT_CAP = 10
 
@@ -42,6 +42,8 @@ def size_cap() -> int:
 
 
 def _check_size(n: int) -> None:
+    if not isinstance(n, int):
+        raise InvalidSize(f"n={n!r} is not an integer")
     if n < 0:
         raise InvalidSize(f"n={n} is negative")
     if n > size_cap():
@@ -71,11 +73,23 @@ Keys = tuple[str, ...]
 #: objects per column table; a chunk's columns are all the engine holds
 CHUNK = 32
 
+
+def _inv2(p: Word) -> int:
+    """|Inv_2|, the inversions (i, j) with p(i) = p(j) + 1: the letters x
+    with x + 1 to their left."""
+    seen: set[int] = set()
+    count = 0
+    for x in p:
+        count += x + 1 in seen
+        seen.add(x)
+    return count
+
+
 #: values a key can name besides rmaj:r and the functions of stats and bijections
 _DERIVED = {
-    "avoids321": lambda w: bijections.avoids(w, "321"),
-    "avoids312": lambda w: bijections.avoids(w, "312"),
-    "|Inv_2|": lambda w: len(stats.inv_set_r(w, 2)),
+    "avoider321": lambda w: w if bijections.avoids(w, "321") else None,
+    "avoider312": lambda w: w if bijections.avoids(w, "312") else None,
+    "|Inv_2|": _inv2,
     "lrmax": left_to_right_maxima,
     **{f"f{k}": lambda w, k=k: None if k in w else bijections.f_insert(k, w)[0] for k in _LETTERS},
     **{f"g{k}": lambda w, k=k: None if k in w else (k,) + w for k in _LETTERS},
@@ -88,31 +102,20 @@ class Columns(dict):
     row i for object i, computed on first use. "p" is the chunk itself.
 
     A key names a value of w ("inv", "psi", "rmaj:2", "f3" is f(3, w), "g3"
-    is 3 w, "free" lists the letters of _LETTERS outside w) or of an image
-    ("phi.aid" is aid(phi(w)), "f5.f3.des" is des(f(3, f(5, w)))). f{k} and
-    g{k} are None where w has k, and so is every image of that row. The
-    functions are looked up on their modules once per column, so a patched
-    one sees every call. spent maps each key to (objects, seconds).
-
-    A table made by filtered(where) holds the rows whose value of where is
-    true; it reads a column its whole table already holds, compressed to
-    those rows, and computes only the others.
+    is 3 w, "free" lists the letters of _LETTERS outside w, "avoider321" is
+    w if it avoids 321) or of an image ("phi.aid" is aid(phi(w)),
+    "f5.f3.des" is des(f(3, f(5, w)))). f{k} and g{k} are None where w has
+    k, avoider321 and avoider312 where w has the pattern, and so is every
+    image of that row. The functions are looked up on their modules once per
+    column, so a patched one sees every call. spent maps each key to
+    (objects, seconds).
     """
 
-    def __init__(self, objects: list, spent: dict, whole: tuple | None = None):
+    def __init__(self, objects: list, spent: dict):
         super().__init__(p=objects)
         self.spent = spent
-        self.whole = whole  # (table, mask): the table these rows were filtered from
-
-    def filtered(self, where: str) -> Columns:
-        mask = self[where]
-        return Columns(list(itertools.compress(self["p"], mask)), self.spent, (self, mask))
 
     def __missing__(self, key: str) -> list:
-        if self.whole and key in self.whole[0]:
-            table, mask = self.whole
-            column = self[key] = list(itertools.compress(table[key], mask))
-            return column
         image, _, name = key.rpartition(".")
         if name.startswith("rmaj:"):  # read off the profile rawlings(w) = (rmaj:1, ..., rmaj:n)
             r = sys.maxsize if name == "rmaj:n" else int(name[5:])
@@ -189,8 +192,8 @@ class Pointwise(NamedTuple):
 class Tallied(NamedTuple):
     """A claim decided at the end of each size from n_min: conclude(n, counts)
     returns the witness, or None, from the count maps of tallies(n). A tally
-    (keys, where) counts the value tuples of keys over the permutations of
-    one size: all of them (where None), or those whose value of where is true."""
+    is a tuple of keys; its count map counts their value tuples over the
+    permutations of one size, with None where a key has a hole."""
 
     label: str
     suite: str
@@ -219,11 +222,11 @@ def _equidistributed(label, suite, base: Keys, sides, tag=None, n_min=0) -> Tall
     names the first differing side under that field."""
 
     def tallies(n):
-        return tuple((keys, None) for keys in (base, *(keys for _, keys in sides(n))))
+        return base, *(keys for _, keys in sides(n))
 
     def conclude(n, counts):
         for name, keys in sides(n):
-            equal, diff = distributions_equal(counts[base, None], counts[keys, None])
+            equal, diff = distributions_equal(counts[base], counts[keys])
             if not equal:
                 tagged = {} if tag is None else {tag: name}
                 return {"n": n, **tagged, "value": diff[0], "counts": [diff[1], diff[2]]}
@@ -240,18 +243,23 @@ def _catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-_AVOID_321 = (("p",), "avoids321")
-_AVOID_312 = (("p",), "avoids312")
-_PSI_OF_AVOID_321 = (("psi",), "avoids321")
+_AVOID_321 = ("avoider321",)
+_AVOID_312 = ("avoider312",)
+_PSI_OF_AVOID_321 = ("avoider321.psi",)
+
+
+def _avoiders(counts: dict, tally: Keys) -> set:
+    """The values a one-key tally counted, but for the holes."""
+    return counts[tally].keys() - {(None,)}
 
 
 def _catalan_sizes(n: int, counts: dict):
-    sizes, catalan = [len(counts[_AVOID_321]), len(counts[_AVOID_312])], _catalan(n)
+    sizes, catalan = [len(_avoiders(counts, k)) for k in (_AVOID_321, _AVOID_312)], _catalan(n)
     return None if sizes == [catalan] * 2 else {"n": n, "sizes": sizes, "catalan": catalan}
 
 
 def _psi_onto(n: int, counts: dict):
-    image, target = set(counts[_PSI_OF_AVOID_321]), set(counts[_AVOID_312])
+    image, target = _avoiders(counts, _PSI_OF_AVOID_321), _avoiders(counts, _AVOID_312)
     missing = [p for p, in sorted(target - image)[:3]]
     return None if image == target else {"n": n, "missing": missing}
 
@@ -370,9 +378,8 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
                         found[c] = (witness, found[c][1] + size + row.i + 1)
                         break
             checks = [check for check in checks if found[check[0]][0] is None]
-            for (keys, where), tally in counts.items():  # a filter gets a table of its rows
-                table = columns if where is None else columns.filtered(where)
-                tally.update(zip(*map(table.__getitem__, keys)))
+            for keys, tally in counts.items():
+                tally.update(zip(*map(columns.__getitem__, keys)))
             size += len(chunk)
             if not checks and not counts:
                 break
@@ -392,7 +399,7 @@ def verify_suite(n_max: int, suite: str = "all") -> dict:
     """
     _check_size(n_max)
     if suite != "all" and suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
+        raise UnknownSuite(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     start = time.perf_counter()
     claims = [c for c in CLAIMS if suite in ("all", c.suite)]
     spent: dict[str, tuple] = {}

@@ -45,6 +45,10 @@ class UnknownPattern(PermstatError, ValueError):
     pass
 
 
+class UnknownSuite(PermstatError, ValueError):
+    pass
+
+
 class SizeCapExceeded(PermstatError):
     pass
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import eq, gt, lt
+from typing import NamedTuple
 
 from .core import BELOW, Word, first_letter, is_permutation
 # bench/tracing.py patches these names until ROADMAP item 1 retargets it
@@ -18,8 +18,7 @@ from .core import inverse, split_at_min  # noqa: F401
 from .errors import InvalidR, UnknownStatistic, WordNotPermutation
 
 
-@dataclass(frozen=True)
-class HookFactorization:
+class HookFactorization(NamedTuple):
     """w = pi0 . hooks[0] . ... . hooks[-1] with pi0 nondecreasing.
 
     A hook h has length >= 2 and h(1) > h(2) <= h(3) <= ... <= h(r).
@@ -265,15 +264,6 @@ def das(p: Word) -> int:
 
 
 # -- Rawlings major index -----------------------------------------------------
-
-def inv_set_r(p: Word, r: int) -> set[tuple[int, int]]:
-    """Inversions (i, j) with p(i) - p(j) < r: the set definition of the
-    inversion part of rawlings, which the tests check rawlings against."""
-    if r < 1:
-        raise InvalidR("r must be >= 1")
-    pairs = itertools.combinations(enumerate(p, start=1), 2)
-    return {(i, j) for (i, x), (j, y) in pairs if 0 < x - y < r}
-
 
 def rawlings(p: Word, r: int | None = None) -> int | tuple[int, ...]:
     """The r-major index: the descents i with p(i) - p(i+1) >= r, summed,

@@ -9,8 +9,8 @@ import itertools
 
 from permstat import bijections, stats
 from permstat.cli import main
-from permstat.core import identity
 from permstat.equidist import distributions_equal, joint_distribution, verify_suite
+from test_stats import identity, inv_set_r
 
 N_MAX = 8
 
@@ -97,7 +97,7 @@ def test_06_rawlings_family():
                 ok = False
             elif stats.rawlings(p, n) != stats.inv(p):
                 ok = False
-            elif len(stats.inv_set_r(p, 2)) != stats.ides(p):
+            elif len(inv_set_r(p, 2)) != stats.ides(p):
                 ok = False
             if not ok:
                 break

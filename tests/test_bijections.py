@@ -8,12 +8,12 @@ from hypothesis import strategies as hyp
 from permstat import bijections, equidist, stats
 from permstat.core import (
     complement_subword_on,
-    identity,
     left_to_right_maxima,
     restrict_below,
     split_at_min,
 )
 from permstat.errors import InvariantViolation, LetterCollision, PermstatError
+from test_stats import identity
 
 
 def all_perms(n):
@@ -206,6 +206,12 @@ class TestFInsert:
     def test_collision(self):
         with pytest.raises(LetterCollision):
             bijections.f_insert(2, (2, 3))
+
+    @pytest.mark.parametrize("k, t", [(1, (2, 2)), (3, (2, 1, 2))])
+    def test_repeated_letter_in_t(self, k, t):
+        with pytest.raises(LetterCollision) as info:
+            bijections.f_insert(k, t)
+        assert info.value.letter == 2
 
     def test_output_starts_with_k_and_trace_shape(self):
         for t in lemma_words(max_len=4):

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +74,12 @@ class TestStatsCommand:
         code, _, err = run(capsys, "stats", "3,1,2")
         assert code == 1
         assert "error" in err
+
+    def test_digit_that_is_not_decimal_is_parse_error(self, capsys):
+        # "\u00b2".isdigit() holds, but int() cannot read it
+        code, _, err = run(capsys, "stats", "1\u00b2")
+        assert code == 1
+        assert "cannot parse" in err
 
 
 class TestMapCommand:
@@ -297,5 +306,22 @@ def test_no_command_is_usage_error(capsys):
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("argv", [["map", "--psi", "312"], ["verify", "--n", "2"]])
+def test_csv_only_on_commands_that_print_rows(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 1 and out == ""
+    assert "invalid choice: 'csv'" in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_import_leaves_dataclasses_out():
+    # -S skips site, whose own imports could pull dataclasses in
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import permstat.cli; "
+            "print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

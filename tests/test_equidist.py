@@ -57,6 +57,13 @@ class TestEnumeration:
             all_permutations(-1)
         assert issubclass(InvalidSize, PermstatError)
 
+    @pytest.mark.parametrize("n", [2.5, "3", None, 3.0])
+    def test_garbage_size(self, n):
+        with pytest.raises(InvalidSize, match="not an integer"):
+            all_permutations(n)
+        with pytest.raises(InvalidSize, match="not an integer"):
+            verify_suite(n)
+
     @pytest.mark.parametrize("raw", ["abc", "-3"])
     def test_malformed_cap_names_the_variable(self, monkeypatch, raw):
         monkeypatch.setenv("PERMSTAT_NMAX", raw)
@@ -147,8 +154,10 @@ class TestVerifySuite:
         assert len(report["claims"]) == 4
 
     def test_unknown_suite(self):
-        with pytest.raises(ValueError):
-            verify_suite(4, "bogus")
+        for suite in ("bogus", None, ""):
+            with pytest.raises(ValueError, match="unknown suite") as info:
+                verify_suite(4, suite)
+            assert isinstance(info.value, PermstatError)
 
     def test_cap_applies(self):
         with pytest.raises(SizeCapExceeded):
@@ -171,10 +180,10 @@ class TestVerifySuite:
 
     def test_schema_3_values(self):
         values = verify_suite(4, "kratt")["values"]
-        assert list(values) == ["avoids321", "avoids312", "psi"]
-        assert values["avoids321"]["objects"] == sum(math.factorial(n) for n in range(5))
+        assert list(values) == ["avoider321", "avoider312", "avoider321.psi"]
+        assert values["avoider321"]["objects"] == sum(math.factorial(n) for n in range(5))
         # psi is computed on the 321-avoiders only
-        assert values["psi"]["objects"] == sum(equidist._catalan(n) for n in range(5))
+        assert values["avoider321.psi"]["objects"] == sum(equidist._catalan(n) for n in range(5))
         assert all(set(v) == {"objects", "seconds"} and v["seconds"] >= 0 for v in values.values())
         # f3 is None on the lemma words that have the letter 3, and aid is
         # computed only on the other rows of f3
@@ -229,12 +238,6 @@ class TestChunks:
         # psi is called on the 321-avoiders only, each once
         assert len(calls) == sum(equidist._catalan(n) for n in range(8)) == 626
         assert all(bijections.avoids(p, "321") for p in calls)
-
-    def test_filtered_tally_reuses_the_chunks_columns(self):
-        # under "all" the psi suite computes psi on every permutation; the
-        # kratt tally of psi over the 321-avoiders reads that column
-        report = verify_suite(5, "all")
-        assert report["values"]["psi"]["objects"] == sum(math.factorial(n) for n in range(6)) == 154
 
     def test_joint_distribution_of_a_one_shot_iterator_longer_than_a_chunk(self):
         assert math.factorial(6) > 3 * equidist.CHUNK

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
-from permstat import bijections, stats
-from permstat.core import identity, inverse, is_permutation
+from permstat import bijections, equidist, stats
+from permstat.core import inverse, is_permutation
 from permstat.errors import (
     EmptyWord,
     InvalidR,
@@ -19,6 +19,10 @@ PAPER_WORD = (2, 5, 8, 9, 6, 3, 7, 1, 4)
 
 def all_perms(n):
     return itertools.permutations(range(1, n + 1))
+
+
+def identity(n):
+    return tuple(range(1, n + 1))
 
 
 def small_words(max_len=5, alphabet=range(1, 7)):
@@ -59,6 +63,13 @@ def oracle_fix(p):
 
 def oracle_inverse(p):
     return tuple(p.index(x) + 1 for x in range(1, len(p) + 1))
+
+
+def inv_set_r(p, r):
+    """Inversions (i, j) with p(i) - p(j) < r: the set definition of the
+    inversion part of rawlings."""
+    pairs = itertools.combinations(enumerate(p, start=1), 2)
+    return {(i, j) for (i, x), (j, y) in pairs if 0 < x - y < r}
 
 
 def oracle_rmaj(p, r):
@@ -330,7 +341,12 @@ class TestRawlings:
     def test_inv2_is_ides(self):
         for n in range(8):
             for p in all_perms(n):
-                assert len(stats.inv_set_r(p, 2)) == stats.ides(p)
+                assert len(inv_set_r(p, 2)) == stats.ides(p)
+
+    def test_inv2_count_is_the_set_definition(self):
+        for n in range(8):
+            for p in all_perms(n):
+                assert equidist._inv2(p) == len(inv_set_r(p, 2))
 
     def test_invalid_r(self):
         with pytest.raises(InvalidR):
@@ -342,7 +358,7 @@ class TestRawlings:
                 rs = range(1, n + 3)
                 expected = [
                     sum(i for i in oracle_des_positions(p) if p[i - 1] - p[i] >= r)
-                    + len(stats.inv_set_r(p, r))
+                    + len(inv_set_r(p, r))
                     for r in rs
                 ]
                 assert [stats.rawlings(p, r) for r in rs] == expected
