@@ -6,13 +6,16 @@ that starts with k; phi folds f over a permutation from its rightmost letter
 to its leftmost. f runs on the min-rooted Cartesian tree of t (Vuillemin,
 1980), one O(1) surgery per rule step; phi_inverse builds the tree by a
 monotone-stack pass (Gabow, Bentley & Tarjan, 1984) and reverses the
-surgery. psi composes the mirrors of a chain of letter sets, read off the
-left-to-right maxima, into one relabeling. The tests keep the tuple forms.
+surgery. Rule a changes nothing, so a walk of phi or phi_inverse starts
+where the rule-a steps of the walk before it end: phi finds by one
+bisection how many of them the next letter shares. On the decreasing word
+the walks of phi take 2n steps in all, not about n^2/4. psi composes the
+mirrors of a chain of letter sets, read off the left-to-right maxima, into
+one relabeling. The tests keep the tuple forms.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 
 from .core import BELOW, Word
 # bench/tracing.py patches these names until ROADMAP item 1 retargets it
@@ -28,7 +31,6 @@ InsertionTrace = tuple[str, ...]
 # and kids[2v], kids[2v + 1] are its left and right children (0 for none).
 # Node 0 lies below every letter and its right child kids[1] is the root, so
 # a slot s (the place kids[s] that holds a subtree) covers the root too.
-_DISCARD = deque(maxlen=0).append  # a note that keeps nothing
 
 
 def _distinct(w: Word) -> None:
@@ -54,60 +56,101 @@ def _tree(w: Word) -> tuple[list, list[int]]:
     return val, kids
 
 
-def _insert(val: list, kids: list[int], v: int, note) -> None:
-    """Insert the childless node v, holding k = val[v], by the rules of f,
-    passing each rule's name to note. At the node m in slot s: d puts v
-    there with the subtree as its right child; b moves beta to m's empty
-    left, a leaves alpha there, and both go on in that slot; c makes v m's
-    left child and alpha its right; base puts v in an empty slot.
+def _insert(val: list, kids: list[int], first: int, note) -> None:
+    """Insert the childless nodes first, first + 1, ... in turn, each v
+    holding k = val[v], by the rules of f, passing each rule's name to note
+    unless it is None. At the node m in slot s: d puts v there with the
+    subtree as its right child; b moves beta to m's empty left, a leaves
+    alpha there, and both go on in that slot; c makes v m's left child and
+    alpha its right; base puts v in an empty slot.
+
+    run holds the nodes of the last walk's rule-a prefix (see _fold). The
+    walk of k drops those above k, notes one "a" for each other one, starts
+    in the left slot of the last one (at the root if none is left), and
+    appends its own rule-a nodes up to its first other step.
     """
-    k = val[v]
-    s = 1
-    while True:
-        m = kids[s]
-        if not m:
-            note("base")
-            kids[s] = v
-            return
-        if k < val[m]:
-            note("d")
-            kids[2 * v + 1] = m
-            kids[s] = v
-            return
-        s = 2 * m
-        alpha, beta = kids[s], kids[s + 1]
-        if not alpha:
-            note("b")
-            kids[s], kids[s + 1] = beta, 0
-        elif beta:
-            note("a")
-        else:
-            note("c")
-            kids[s], kids[s + 1] = v, alpha
-            return
+    traced = note is not None
+    run: list[int] = []
+    for v in range(first, len(val)):
+        k = val[v]
+        if run:
+            if k < val[run[-1]]:
+                del run[bisect_left(run, k, key=val.__getitem__):]
+            if traced:
+                for _ in run:
+                    note("a")
+        s = 2 * run[-1] if run else 1
+        grow = True
+        while True:
+            m = kids[s]
+            if not m:
+                if traced:
+                    note("base")
+                kids[s] = v
+                break
+            if k < val[m]:
+                if traced:
+                    note("d")
+                kids[2 * v + 1] = m
+                kids[s] = v
+                break
+            s = 2 * m
+            alpha, beta = kids[s], kids[s + 1]
+            if not alpha:
+                if traced:
+                    note("b")
+                kids[s], kids[s + 1] = beta, 0
+                grow = False
+            elif beta:
+                if traced:
+                    note("a")
+                if grow:
+                    run.append(m)
+            else:
+                if traced:
+                    note("c")
+                kids[s], kids[s + 1] = v, alpha
+                break
 
 
-def _uninsert(kids: list[int]) -> int:
-    """Reverse the insertion that made the leftmost node; detach and return it.
+def _uninsert(kids: list[int], count: int) -> list[int]:
+    """Reverse the insertion that made the leftmost node, count times over;
+    detach those nodes and return them in that order.
 
     The rules a and b both went on in the left slot, so the insertion's path
     is the left spine, and the node m in slot s tells which rule it fired.
+    run holds the nodes of the last walk's rule-a prefix: a walk changes
+    nothing above its last one but that node's left child, so the next
+    walk starts again at that node and appends its own rule-a nodes up to
+    its first other step.
     """
-    s = 1
-    while True:
-        m = kids[s]
-        alpha, beta = kids[2 * m], kids[2 * m + 1]
-        if not alpha:  # rule d, or base: m is the inserted node
-            kids[s] = beta
-            return m
-        if not beta:  # rule b: q = f(k, beta) m, t = m beta; go on in m's right
-            kids[2 * m], kids[2 * m + 1] = 0, alpha
-            s = 2 * m + 1
-        elif kids[2 * alpha] or kids[2 * alpha + 1]:  # rule a
-            s = 2 * m
-        else:  # rule c: m's left is the leaf k, t = alpha m
-            kids[2 * m], kids[2 * m + 1] = beta, 0
-            return alpha
+    out = []
+    run: list[int] = []
+    for _ in range(count):
+        if run:
+            run.pop()
+        s = 2 * run[-1] if run else 1
+        grow = True
+        while True:
+            m = kids[s]
+            alpha, beta = kids[2 * m], kids[2 * m + 1]
+            if not alpha:  # rule d, or base: m is the inserted node
+                kids[s] = beta
+                out.append(m)
+                break
+            if not beta:  # rule b: q = f(k, beta) m, t = m beta; go on in m's right
+                kids[2 * m], kids[2 * m + 1] = 0, alpha
+                s = 2 * m + 1
+                grow = False
+            elif kids[2 * alpha] or kids[2 * alpha + 1]:  # rule a
+                s = 2 * m
+                if grow:
+                    run.append(m)
+            else:  # rule c: m's left is the leaf k, t = alpha m
+                kids[2 * m], kids[2 * m + 1] = beta, 0
+                out.append(alpha)
+                break
+    return out
 
 
 def _word(val: list, kids: list[int]) -> Word:
@@ -155,18 +198,27 @@ def f_uninsert(q: Word) -> tuple[int, Word]:
         raise InvariantViolation("cannot un-insert from the empty word")
     _distinct(q)
     val, kids = _tree(q)
-    k = val[_uninsert(kids)]
-    return k, _word(val, kids)
+    [v] = _uninsert(kids, 1)
+    return val[v], _word(val, kids)
 
 
 def _fold(p: Word, note) -> Word:
     """Fold f over p, rightmost letter first, into one tree (node v the v-th
-    letter inserted), passing each rule to note: about n^2/4 steps on n..1."""
+    letter inserted), passing each rule to note unless it is None.
+
+    Rule a changes nothing, and the rest of a walk happens below the nodes
+    where it fired, so the rule-a prefix of one walk is still in place for
+    the next letter k. Its letters increase, as the left spine of a
+    min-rooted tree holds the prefix minima, so k fires rule a on those
+    below k, one bisection finds the first one above k, and rule d there
+    cuts the run. The walks then take 2n steps in all on n..1 (and no
+    bisection), where they took about n^2/4 rule-a steps; a traced fold
+    still notes each one, and an untraced one makes no note call at all.
+    """
     _distinct(p)
     val = [BELOW, *reversed(p)]
     kids = [0] * (2 * len(val))
-    for v in range(1, len(val)):
-        _insert(val, kids, v, note)
+    _insert(val, kids, 1, note)
     return _word(val, kids)
 
 
@@ -180,14 +232,14 @@ def phi_with_traces(p: Word) -> tuple[Word, tuple[InsertionTrace, ...]]:
 
 def phi(p: Word) -> Word:
     """The bijection phi: f folded over p, recording no trace."""
-    return _fold(p, _DISCARD)
+    return _fold(p, None)
 
 
 def phi_inverse(q: Word) -> Word:
     """The unique p with phi(p) = q, by peeling one insertion at a time."""
     _distinct(q)
     val, kids = _tree(q)
-    return tuple([val[_uninsert(kids)] for _ in q])
+    return tuple([val[v] for v in _uninsert(kids, len(q))])
 
 
 def _chain(p: Word) -> list[list[int]]:

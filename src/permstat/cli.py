@@ -13,7 +13,7 @@ import sys
 from . import bijections, equidist, stats
 from .core import format_word, is_permutation, parse_permutation, parse_word
 from .equidist import SUITES, joint_distribution, size_cap, verify_suite
-from .errors import PermstatError, SizeCapExceeded
+from .errors import ParseError, PermstatError, SizeCapExceeded
 
 FORMATS = ("plain", "json")  # and "csv" for the commands that print rows
 
@@ -27,10 +27,18 @@ def _default_names(word) -> list[str]:
     ]
 
 
+def _names(text: str) -> list[str]:
+    """The statistic names of a comma-separated list; there must be one."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    if not names:
+        raise ParseError(f"no statistic name in {text!r}")
+    return names
+
+
 def cmd_stats(args) -> int:
     word = parse_word(args.perm)
-    if args.names:
-        names = [n.strip() for n in args.names.split(",") if n.strip()]
+    if args.names is not None:
+        names = _names(args.names)
     else:
         names = _default_names(word)
         if not is_permutation(word):
@@ -50,24 +58,28 @@ def cmd_stats(args) -> int:
 
 def cmd_map(args) -> int:
     p = parse_permutation(args.perm)
+    trace, lines = None, []  # --trace: the rules of each insertion, or the mirrored sets
     if args.phi:
         if args.trace:
             image, traces = bijections.phi_with_traces(p)
-            for k, trace in zip(reversed(p), traces):
-                print(f"insert {k}: {','.join(trace)}")
+            trace = [list(rules) for rules in traces]
+            lines = [f"insert {k}: {','.join(rules)}" for k, rules in zip(reversed(p), traces)]
         else:
             image = bijections.phi(p)
     elif args.phi_inverse:
         image = bijections.phi_inverse(p)
     else:
         if args.trace:
-            for letters in bijections.psi_chain(p):
-                print("mirror {" + ",".join(str(x) for x in sorted(letters)) + "}")
+            trace = [sorted(letters) for letters in bijections.psi_chain(p)]
+            lines = ["mirror {" + ",".join(map(str, letters)) + "}" for letters in trace]
         image = bijections.psi(p)
     if args.format == "json":
-        print(json.dumps({"input": format_word(p), "output": format_word(image)}))
+        out = {"input": format_word(p), "output": format_word(image)}
+        if trace is not None:
+            out["trace"] = trace
+        print(json.dumps(out))
     else:
-        print(format_word(image))
+        print(*lines, format_word(image), sep="\n")
     return 0
 
 
@@ -91,7 +103,7 @@ _SOURCES = {"all": None, "avoid321": "321", "avoid312": "312"}
 
 
 def cmd_table(args) -> int:
-    names = [n.strip() for n in args.stats.split(",") if n.strip()]
+    names = _names(args.stats)
     perms = equidist.all_permutations(args.n)
     pattern = _SOURCES[args.source]
     if pattern is not None:

@@ -42,7 +42,7 @@ def size_cap() -> int:
 
 
 def _check_size(n: int) -> None:
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise InvalidSize(f"n={n!r} is not an integer")
     if n < 0:
         raise InvalidSize(f"n={n} is negative")

@@ -276,8 +276,8 @@ def rawlings(p: Word, r: int | None = None) -> int | tuple[int, ...]:
     left, are one comparison of the inverse with itself shifted by g, so one
     r costs O(n r)."""
     pos = _inverse(p, "rmaj" if r is None else f"rmaj:{r}")
-    if r is not None and r < 1:
-        raise InvalidR("r must be >= 1")
+    if r is not None and (isinstance(r, bool) or not isinstance(r, int) or r < 1):
+        raise InvalidR(f"r must be an integer >= 1, got {r!r}")
     n = len(p)
     top = n if r is None else min(r, n)
     step = [0] * (n + 1)  # step[g]: minus the positions of the descents of gap g
@@ -324,11 +324,9 @@ def resolve_statistic(name: str):
     """
     if name in REGISTRY:
         return REGISTRY[name]
-    if name.startswith("rmaj:"):
-        try:
-            r = int(name.split(":", 1)[1])
-        except ValueError:
-            raise UnknownStatistic(name) from None
+    digits = name[5:] if name.startswith("rmaj:") else ""
+    if digits.isascii() and digits.isdigit():
+        r = int(digits)
         if r < 1:
             raise InvalidR("r must be >= 1")
         return (lambda p, r=r: rawlings(p, r)), True

@@ -52,6 +52,22 @@ long_permutations = hyp.integers(min_value=0, max_value=300).flatmap(
 ).map(tuple)
 
 
+def sawtooth(n):
+    """1..n as decreasing blocks of sizes 1, 2, 3, ...: 1 32 654 (10)987 ..."""
+    word, top, size = [], 0, 1
+    while top < n:
+        word += range(min(n, top + size), top, -1)
+        top, size = top + size, size + 1
+    return tuple(word)
+
+
+def phi_of_decreasing(n):
+    """phi(n..1) for n >= 1: n, then n - 1 if n is even, then the pairs
+    (j, j + 1) downwards to (1, 2)."""
+    head = (n,) if n % 2 else (n, n - 1)
+    return (*head, *(x for j in range(n - len(head) - 1, 0, -2) for x in (j, j + 1)))
+
+
 # -- the tuple form of f: the oracle for the tree in bijections ---------------
 
 def oracle_f_insert(k, t):
@@ -328,6 +344,7 @@ class TestTreeAgainstTupleOracle:
     @given(sparse_words, hyp.integers(min_value=1, max_value=10**9))
     def test_sparse_words(self, w, k):
         assert bijections.phi_with_traces(w) == oracle_phi_with_traces(w)
+        assert bijections.phi(w) == bijections.phi_with_traces(w)[0]
         assert bijections.phi_inverse(w) == oracle_phi_inverse(w)
         if k not in w:
             assert bijections.f_insert(k, w) == oracle_f_insert(k, w)
@@ -348,9 +365,41 @@ class TestTreeAgainstTupleOracle:
         assert bijections.phi_inverse(bijections.phi(w)) == w
 
     def test_decreasing_word_of_size_2000_round_trips(self):
-        # about n^2/4 rule-a steps, each O(1) on the tree
+        # about n^2/4 rule-a steps, each skipped: the walks of phi take 2n
+        # steps in all and those of phi_inverse 2.5n
         w = tuple(range(2000, 0, -1))
         assert bijections.phi_inverse(bijections.phi(w)) == w
+
+
+class TestSkippedRuleA:
+    """Untraced phi skips the rule-a steps an insertion shares with the one
+    before it, and notes no step; phi_with_traces writes each one out. The
+    two must give the same image, and the traced one the oracle's traces
+    (test_sparse_words above checks the same on random words)."""
+
+    def test_sawtooth_words(self):
+        for n in range(0, 300, 7):
+            for w in (sawtooth(n), sawtooth(n)[::-1]):
+                assert bijections.phi(w) == bijections.phi_with_traces(w)[0]
+                if n <= 60:
+                    assert bijections.phi_with_traces(w) == oracle_phi_with_traces(w)
+
+    def test_decreasing_closed_form(self):
+        assert phi_of_decreasing(8) == (8, 7, 5, 6, 3, 4, 1, 2)
+        assert phi_of_decreasing(7) == (7, 5, 6, 3, 4, 1, 2)
+        for n in range(1, 13):
+            w = tuple(range(n, 0, -1))
+            image = oracle_phi_with_traces(w)[0]
+            assert image == phi_of_decreasing(n)
+            assert bijections.phi(w) == bijections.phi_with_traces(w)[0] == image
+
+    def test_decreasing_word_of_size_100000(self):
+        # the walks take 2n steps in all (phi_inverse: 2.5n), where tracing
+        # writes out n^2/4
+        w = tuple(range(100_000, 0, -1))
+        image = bijections.phi(w)
+        assert image == phi_of_decreasing(100_000)
+        assert bijections.phi_inverse(image) == w
 
 
 class TestInsertionLemmas:

@@ -70,6 +70,12 @@ class TestStatsCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("names", ["", ",,", " , "])
+    def test_empty_name_list_is_usage_error(self, capsys, names):
+        code, out, err = run(capsys, "stats", "312", "--names", names)
+        assert code == 1 and out == ""
+        assert err == f"error: no statistic name in {names!r}\n"
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "stats", "3,1,2")
         assert code == 1
@@ -133,6 +139,20 @@ class TestMapCommand:
         code, out, _ = run(capsys, "map", "--phi", "312", "--format", "json")
         assert code == 0
         assert json.loads(out) == {"input": "312", "output": "321"}
+
+    def test_json_trace(self, capsys):
+        # the whole of stdout is one JSON object, the trace inside it
+        code, out, _ = run(capsys, "map", "--phi", "321", "--trace", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"input": "321", "output": "312",
+                                   "trace": [["base"], ["b", "base"], ["c"]]}
+        code, out, _ = run(capsys, "map", "--psi", "2413", "--trace", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"input": "2413", "output": "2431",
+                                   "trace": [[1, 3], [1], [1]]}
+        code, out, _ = run(capsys, "map", "--phi-inverse", "321", "--trace", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"input": "321", "output": "312"}
 
     def test_exactly_one_direction_required(self, capsys):
         code, _, _ = run(capsys, "map", "312")
@@ -272,7 +292,9 @@ class TestTableCommand:
         assert code == 1 and out == ""
         assert "n=-2" in err
 
-    @pytest.mark.parametrize("name", ["foo", "inverse", "phi.des", "rmaj:n", "rmaj:x"])
+    @pytest.mark.parametrize(
+        "name", ["foo", "inverse", "phi.des", "rmaj:n", "rmaj:x", "rmaj: 2", "rmaj:+2", "rmaj:\u0662"]
+    )
     def test_unknown_statistic_is_usage_error(self, capsys, name):
         code, out, err = run(capsys, "table", "--n", "3", "--stats", f"des,{name}")
         assert code == 1 and out == ""
@@ -284,7 +306,9 @@ class TestTableCommand:
         assert err == "error: r must be >= 1\n"
 
     def test_empty_names(self, capsys):
-        assert run(capsys, "table", "--n", "3", "--stats", "") == (0, " -> 6\n", "")
+        for names in ("", ",,", " , "):
+            error = f"error: no statistic name in {names!r}\n"
+            assert run(capsys, "table", "--n", "3", "--stats", names) == (1, "", error)
         _, expected, _ = run(capsys, "table", "--n", "3", "--stats", "des,inv")
         assert run(capsys, "table", "--n", "3", "--stats", "des,,inv") == (0, expected, "")
 

@@ -57,7 +57,7 @@ class TestEnumeration:
             all_permutations(-1)
         assert issubclass(InvalidSize, PermstatError)
 
-    @pytest.mark.parametrize("n", [2.5, "3", None, 3.0])
+    @pytest.mark.parametrize("n", [2.5, "3", None, 3.0, True, False])
     def test_garbage_size(self, n):
         with pytest.raises(InvalidSize, match="not an integer"):
             all_permutations(n)

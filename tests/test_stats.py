@@ -352,6 +352,16 @@ class TestRawlings:
         with pytest.raises(InvalidR):
             stats.rawlings((1,), 0)
 
+    @pytest.mark.parametrize("r", [True, False, 2.5, "2"])
+    def test_r_that_is_not_an_integer(self, r):
+        with pytest.raises(InvalidR, match="integer"):
+            stats.rawlings((2, 1), r)
+
+    @pytest.mark.parametrize("name", ["rmaj: 2", "rmaj:+2", "rmaj:\u0662", "rmaj:2 ", "rmaj:", "rmaj:-1"])
+    def test_r_is_ascii_digits(self, name):
+        with pytest.raises(UnknownStatistic):
+            stats.resolve_statistic(name)
+
     def test_matches_the_set_definition(self):
         for n in range(7):
             for p in all_perms(n):
