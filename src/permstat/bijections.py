@@ -9,9 +9,11 @@ monotone-stack pass (Gabow, Bentley & Tarjan, 1984) and reverses the
 surgery. Rule a changes nothing, so a walk of phi or phi_inverse starts
 where the rule-a steps of the walk before it end: phi finds by one
 bisection how many of them the next letter shares. On the decreasing word
-the walks of phi take 2n steps in all, not about n^2/4. psi composes the
-mirrors of a chain of letter sets, read off the left-to-right maxima, into
-one relabeling. The tests keep the tuple forms.
+the walks of phi take 2n steps in all, not about n^2/4. The surgery
+records nothing: f_insert and phi_with_traces read an insertion's rules off
+the tree first, so a traced insertion walks twice and skips no run. psi
+composes the mirrors of a chain of letter sets, read off the left-to-right
+maxima, into one relabeling. The tests keep the tuple forms.
 """
 from __future__ import annotations
 
@@ -56,61 +58,70 @@ def _tree(w: Word) -> tuple[list, list[int]]:
     return val, kids
 
 
-def _insert(val: list, kids: list[int], first: int, note) -> None:
+def _insert(val: list, kids: list[int], first: int) -> None:
     """Insert the childless nodes first, first + 1, ... in turn, each v
-    holding k = val[v], by the rules of f, passing each rule's name to note
-    unless it is None. At the node m in slot s: d puts v there with the
-    subtree as its right child; b moves beta to m's empty left, a leaves
-    alpha there, and both go on in that slot; c makes v m's left child and
-    alpha its right; base puts v in an empty slot.
+    holding k = val[v], by the rules of f. At the node m in slot s: d puts v
+    there with the subtree as its right child; b moves beta to m's empty
+    left, a leaves alpha there, and both go on in that slot; c makes v m's
+    left child and alpha its right; base puts v in an empty slot.
 
-    run holds the nodes of the last walk's rule-a prefix (see _fold). The
-    walk of k drops those above k, notes one "a" for each other one, starts
-    in the left slot of the last one (at the root if none is left), and
-    appends its own rule-a nodes up to its first other step.
+    run holds the nodes of the last walk's rule-a prefix (see phi). The walk
+    of k drops those above k, starts in the left slot of the last one left
+    (at the root if none is), and appends its own rule-a nodes up to its
+    first other step.
     """
-    traced = note is not None
     run: list[int] = []
     for v in range(first, len(val)):
         k = val[v]
-        if run:
-            if k < val[run[-1]]:
-                del run[bisect_left(run, k, key=val.__getitem__):]
-            if traced:
-                for _ in run:
-                    note("a")
+        if run and k < val[run[-1]]:
+            del run[bisect_left(run, k, key=val.__getitem__):]
         s = 2 * run[-1] if run else 1
         grow = True
         while True:
             m = kids[s]
-            if not m:
-                if traced:
-                    note("base")
+            if not m:  # base
                 kids[s] = v
                 break
-            if k < val[m]:
-                if traced:
-                    note("d")
+            if k < val[m]:  # rule d
                 kids[2 * v + 1] = m
                 kids[s] = v
                 break
             s = 2 * m
             alpha, beta = kids[s], kids[s + 1]
-            if not alpha:
-                if traced:
-                    note("b")
+            if not alpha:  # rule b
                 kids[s], kids[s + 1] = beta, 0
                 grow = False
-            elif beta:
-                if traced:
-                    note("a")
+            elif beta:  # rule a
                 if grow:
                     run.append(m)
-            else:
-                if traced:
-                    note("c")
+            else:  # rule c
                 kids[s], kids[s + 1] = v, alpha
                 break
+
+
+def _rules(val: list, kids: list[int], k: int) -> InsertionTrace:
+    """The rules that inserting k would fire, read off the tree without
+    changing it. Rule b would move beta into m's left slot before going on
+    there, so the walk goes on in beta itself.
+    """
+    rules = []
+    m = kids[1]
+    while m and val[m] < k:
+        alpha, beta = kids[2 * m], kids[2 * m + 1]
+        if alpha and not beta:
+            return (*rules, "c")
+        rules.append("a" if alpha else "b")
+        m = alpha or beta
+    return (*rules, "d" if m else "base")
+
+
+def _traced_insert(val: list, kids: list[int], k: int) -> InsertionTrace:
+    """Add k to the tree as a new node by the rules of f; return those rules."""
+    rules = _rules(val, kids, k)
+    val.append(k)
+    kids += (0, 0)
+    _insert(val, kids, len(val) - 1)
+    return rules
 
 
 def _uninsert(kids: list[int], count: int) -> list[int]:
@@ -185,11 +196,8 @@ def f_insert(k: int, t: Word) -> tuple[Word, InsertionTrace]:
         raise LetterCollision(k)
     _distinct(t)
     val, kids = _tree(t)
-    val.append(k)
-    kids += (0, 0)
-    steps: list[str] = []
-    _insert(val, kids, len(t) + 1, steps.append)
-    return _word(val, kids), tuple(steps)
+    trace = _traced_insert(val, kids, k)
+    return _word(val, kids), trace
 
 
 def f_uninsert(q: Word) -> tuple[int, Word]:
@@ -202,9 +210,18 @@ def f_uninsert(q: Word) -> tuple[int, Word]:
     return val[v], _word(val, kids)
 
 
-def _fold(p: Word, note) -> Word:
-    """Fold f over p, rightmost letter first, into one tree (node v the v-th
-    letter inserted), passing each rule to note unless it is None.
+def phi_with_traces(p: Word) -> tuple[Word, tuple[InsertionTrace, ...]]:
+    """phi(p) and the rules of each insertion, the leftmost letter's last;
+    each insertion walks twice (rules, then surgery) and skips no rule-a run."""
+    _distinct(p)
+    val, kids = [BELOW], [0, 0]
+    traces = tuple(_traced_insert(val, kids, k) for k in reversed(p))
+    return _word(val, kids), traces
+
+
+def phi(p: Word) -> Word:
+    """The bijection phi: f folded over p, rightmost letter first, into one
+    tree (node v the v-th letter inserted), recording no trace.
 
     Rule a changes nothing, and the rest of a walk happens below the nodes
     where it fired, so the rule-a prefix of one walk is still in place for
@@ -212,27 +229,13 @@ def _fold(p: Word, note) -> Word:
     min-rooted tree holds the prefix minima, so k fires rule a on those
     below k, one bisection finds the first one above k, and rule d there
     cuts the run. The walks then take 2n steps in all on n..1 (and no
-    bisection), where they took about n^2/4 rule-a steps; a traced fold
-    still notes each one, and an untraced one makes no note call at all.
+    bisection), where they took about n^2/4 rule-a steps.
     """
     _distinct(p)
     val = [BELOW, *reversed(p)]
     kids = [0] * (2 * len(val))
-    _insert(val, kids, 1, note)
+    _insert(val, kids, 1)
     return _word(val, kids)
-
-
-def phi_with_traces(p: Word) -> tuple[Word, tuple[InsertionTrace, ...]]:
-    """phi(p) and each insertion's trace, cut after its closing rule; the leftmost's last."""
-    steps: list[str] = []
-    image = _fold(p, steps.append)
-    ends = [i for i, step in enumerate(steps, 1) if step not in ("a", "b")]
-    return image, tuple(tuple(steps[i:j]) for i, j in zip([0, *ends], ends))
-
-
-def phi(p: Word) -> Word:
-    """The bijection phi: f folded over p, recording no trace."""
-    return _fold(p, None)
 
 
 def phi_inverse(q: Word) -> Word:

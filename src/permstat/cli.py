@@ -59,20 +59,18 @@ def cmd_stats(args) -> int:
 def cmd_map(args) -> int:
     p = parse_permutation(args.perm)
     trace, lines = None, []  # --trace: the rules of each insertion, or the mirrored sets
-    if args.phi:
-        if args.trace:
-            image, traces = bijections.phi_with_traces(p)
-            trace = [list(rules) for rules in traces]
-            lines = [f"insert {k}: {','.join(rules)}" for k, rules in zip(reversed(p), traces)]
-        else:
-            image = bijections.phi(p)
-    elif args.phi_inverse:
-        image = bijections.phi_inverse(p)
-    else:
+    if args.psi:
         if args.trace:
             trace = [sorted(letters) for letters in bijections.psi_chain(p)]
             lines = ["mirror {" + ",".join(map(str, letters)) + "}" for letters in trace]
         image = bijections.psi(p)
+    else:
+        image = (bijections.phi_inverse if args.phi_inverse else bijections.phi)(p)
+        if args.trace:  # the insertions of the fold from the preimage to the image
+            source = image if args.phi_inverse else p
+            traces = bijections.phi_with_traces(source)[1]
+            trace = [list(rules) for rules in traces]
+            lines = [f"insert {k}: {','.join(rules)}" for k, rules in zip(reversed(source), traces)]
     if args.format == "json":
         out = {"input": format_word(p), "output": format_word(image)}
         if trace is not None:

@@ -58,12 +58,6 @@ def restrict_below(w: Word, k: int) -> Word:
     return tuple(x for x in w if x < k)
 
 
-def first_letter(w: Word) -> int:
-    if not w:
-        raise EmptyWord("the empty word has no first letter")
-    return w[0]
-
-
 def left_to_right_maxima(w: Word) -> LeftToRightMaxima:
     """Positions i with w(i) > w(j) for all j < i, and their values."""
     positions: list[int] = []
@@ -97,25 +91,20 @@ def complement_subword_on(w: Word, letters: Iterable[int]) -> Word:
 def parse_word(text: str) -> Word:
     """Parse one-line notation: space-separated naturals or a compact digit string.
 
-    Compact form ("312") is accepted only when every letter is a single
-    digit 1..9; any whitespace forces the space-separated reading. The
-    empty string is the empty word.
+    Every letter is written in ASCII digits. Compact form ("312") is
+    accepted only when every letter is a single digit 1..9; any whitespace
+    inside the text forces the space-separated reading. The empty string is
+    the empty word.
     """
-    text = text.strip()
-    if not text:
-        return ()
-    if any(c.isspace() for c in text):
-        try:
-            letters = [int(tok) for tok in text.split()]
-        except ValueError as exc:
-            raise ParseError(f"cannot parse {text!r} as a word") from exc
-    else:
-        if not text.isdecimal():
-            raise ParseError(f"cannot parse {text!r} as a word")
-        letters = [int(c) for c in text]
-        if 0 in letters:
-            raise ParseError(f"compact form {text!r} contains the digit 0")
-    return make_word(letters)
+    tokens = text.split()
+    compact = len(tokens) == 1
+    if compact:
+        tokens = list(tokens[0])
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ParseError(f"cannot parse {text.strip()!r} as a word")
+    if compact and "0" in tokens:
+        raise ParseError(f"compact form {text.strip()!r} contains the digit 0")
+    return make_word(map(int, tokens))
 
 
 def parse_permutation(text: str) -> Word:

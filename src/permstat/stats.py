@@ -12,10 +12,10 @@ from bisect import bisect_left, bisect_right
 from operator import eq, gt, lt
 from typing import NamedTuple
 
-from .core import BELOW, Word, first_letter, is_permutation
+from .core import BELOW, Word, is_permutation
 # bench/tracing.py patches these names until ROADMAP item 1 retargets it
 from .core import inverse, split_at_min  # noqa: F401
-from .errors import InvalidR, UnknownStatistic, WordNotPermutation
+from .errors import EmptyWord, InvalidR, UnknownStatistic, WordNotPermutation
 
 
 class HookFactorization(NamedTuple):
@@ -54,7 +54,9 @@ def inv(w: Word) -> int:
 
 def ini(w: Word) -> int:
     """The first letter of a nonempty word."""
-    return first_letter(w)
+    if not w:
+        raise EmptyWord("the empty word has no first letter")
+    return w[0]
 
 
 def _require_permutation(w: Word, name: str) -> None:

@@ -372,10 +372,11 @@ class TestTreeAgainstTupleOracle:
 
 
 class TestSkippedRuleA:
-    """Untraced phi skips the rule-a steps an insertion shares with the one
-    before it, and notes no step; phi_with_traces writes each one out. The
-    two must give the same image, and the traced one the oracle's traces
-    (test_sparse_words above checks the same on random words)."""
+    """phi skips the rule-a steps an insertion shares with the one before
+    it; phi_with_traces reads each insertion's rules off the tree and walks
+    each insertion in full. The two must give the same image, and the traced
+    one the oracle's traces (test_sparse_words above checks the same on
+    random words)."""
 
     def test_sawtooth_words(self):
         for n in range(0, 300, 7):
@@ -394,8 +395,8 @@ class TestSkippedRuleA:
             assert bijections.phi(w) == bijections.phi_with_traces(w)[0] == image
 
     def test_decreasing_word_of_size_100000(self):
-        # the walks take 2n steps in all (phi_inverse: 2.5n), where tracing
-        # writes out n^2/4
+        # the walks take 2n steps in all (phi_inverse: 2.5n), where
+        # phi_with_traces walks about n^2/4 twice
         w = tuple(range(100_000, 0, -1))
         image = bijections.phi(w)
         assert image == phi_of_decreasing(100_000)

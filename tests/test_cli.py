@@ -81,6 +81,12 @@ class TestStatsCommand:
         assert code == 1
         assert "error" in err
 
+    def test_letters_are_ascii_digits(self, capsys):
+        # int() would read "1_0" as 10
+        code, out, err = run(capsys, "stats", "1_0 2", "--names", "inv,des")
+        assert (code, out) == (1, "")
+        assert "cannot parse" in err
+
     def test_digit_that_is_not_decimal_is_parse_error(self, capsys):
         # "\u00b2".isdigit() holds, but int() cannot read it
         code, _, err = run(capsys, "stats", "1\u00b2")
@@ -152,7 +158,23 @@ class TestMapCommand:
                                    "trace": [[1, 3], [1], [1]]}
         code, out, _ = run(capsys, "map", "--phi-inverse", "321", "--trace", "--format", "json")
         assert code == 0
-        assert json.loads(out) == {"input": "321", "output": "312"}
+        assert json.loads(out) == {"input": "321", "output": "312",
+                                   "trace": [["base"], ["d"], ["b", "b", "base"]]}
+
+    def test_phi_inverse_trace(self, capsys):
+        # the traces of the fold that rebuilds the input from its preimage,
+        # so the same insert lines as --phi on that preimage
+        assert run(capsys, "map", "--phi-inverse", "321", "--trace")[:2] == (
+            0, "insert 2: base\ninsert 1: d\ninsert 3: b,b,base\n312\n")
+        for p in (p for n in range(1, 5) for p in all_permutations(n)):
+            perm = "".join(map(str, p))
+            _, forward, _ = run(capsys, "map", "--phi", perm, "--trace")
+            *lines, image = forward.splitlines()
+            _, back, _ = run(capsys, "map", "--phi-inverse", image, "--trace")
+            assert back.splitlines() == [*lines, perm]
+            _, forward, _ = run(capsys, "map", "--phi", perm, "--trace", "--format", "json")
+            _, back, _ = run(capsys, "map", "--phi-inverse", image, "--trace", "--format", "json")
+            assert json.loads(back)["trace"] == json.loads(forward)["trace"]
 
     def test_exactly_one_direction_required(self, capsys):
         code, _, _ = run(capsys, "map", "312")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hyp
 
-from permstat import core
+from permstat import core, stats
 from permstat.errors import DuplicateLetter, EmptyWord, NotAPermutation, ParseError
 
 
@@ -111,8 +111,11 @@ class TestParsing:
             core.parse_word("102")
 
     def test_garbage(self):
-        with pytest.raises(ParseError):
-            core.parse_word("3,1,2")
+        # every letter is ASCII digits in both forms: no "1_0" or "+3" as
+        # int() reads them, and no digits of another script
+        for text in ("3,1,2", "1 x", "1_0 2", "+3 1 2", "\u0661 \u0662", "\u0661\u0662"):
+            with pytest.raises(ParseError, match="cannot parse"):
+                core.parse_word(text)
 
     def test_parse_permutation(self):
         assert core.parse_permutation("312") == (3, 1, 2)
@@ -130,4 +133,4 @@ class TestParsing:
 
 def test_first_letter_empty_word():
     with pytest.raises(EmptyWord):
-        core.first_letter(())
+        stats.ini(())

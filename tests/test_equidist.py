@@ -1,9 +1,14 @@
+import functools
 import itertools
+import json
 import math
+from collections import Counter
 
 import pytest
+from test_witnesses import plant_statistic
 
 from permstat import bijections, equidist, stats
+from permstat.cli import main
 from permstat.equidist import (
     all_permutations,
     distributions_equal,
@@ -284,6 +289,89 @@ class TestClosedForms:
         for n in range(8):
             assert joint_distribution(all_permutations(n), [name]) == mahonian(n)
 
+
+
+@functools.cache
+def q_binomial(n, k):
+    """[n choose k]_q as coefficients of q^0, q^1, ..., by
+    [n choose k]_q = [n-1 choose k-1]_q + q^k [n-1 choose k]_q."""
+    if k in (0, n):
+        return (1,)
+    low, high = q_binomial(n - 1, k - 1), (0,) * k + q_binomial(n - 1, k)
+    return tuple(map(sum, itertools.zip_longest(low, high, fillvalue=0)))
+
+
+def shareshian_wachs(n):
+    """{(fix, exc, maj): count} over S_n from A_0 = 1 and A_n = r^n +
+    sum_{k=2..n} [n choose k]_q (tq + ... + (tq)^(k-1)) A_{n-k}, where
+    A_n = sum q^maj t^exc r^fix (Shareshian & Wachs, 2007)."""
+    rows = [Counter({(0, 0, 0): 1})]
+    for m in range(1, n + 1):
+        rows.append(Counter({(m, 0, 0): 1}))
+        for k in range(2, m + 1):
+            for (fix, exc, maj), count in rows[m - k].items():
+                for i, c in enumerate(q_binomial(m, k)):
+                    for j in range(1, k):
+                        rows[m][fix, exc + j, maj + i + j] += count * c
+    return dict(rows[n])
+
+
+def stanley(n):
+    """{(des, inv): count} over S_n from A_0 = 1 and A_n = t sum_{k=1..n}
+    [n choose k]_q (1 - t)^(k-1) A_{n-k}, where A_n = sum t^(1+des) q^inv
+    for n >= 1 (Stanley, 1976)."""
+    rows = [Counter({(0, 0): 1})]
+    for m in range(1, n + 1):
+        rows.append(Counter())
+        for k in range(1, m + 1):
+            for (t, inv), count in rows[m - k].items():
+                for i, c in enumerate(q_binomial(m, k)):
+                    for j in range(k):
+                        rows[m][t + 1 + j, inv + i] += count * c * math.comb(k - 1, j) * (-1) ** j
+    if not n:
+        return {(0, 0): 1}
+    return {(t - 1, inv): count for (t, inv), count in rows[n].items() if count}
+
+
+JOINT = [(("fix", "exc", "maj"), shareshian_wachs), (("pix", "lec", "inv"), shareshian_wachs),
+         (("aix", "des", "aid"), shareshian_wachs), (("des", "inv"), stanley),
+         (("das", "mix"), stanley)]
+JOINT_IDS = [",".join(names) for names, _ in JOINT]
+
+
+class TestJointClosedForms:
+    """Joint distributions over S_n, n <= 8, against two recurrences with
+    integer coefficients; the marginal oracles above cannot see a defect
+    that moves values between permutations."""
+
+    def test_recurrences_themselves(self):
+        assert q_binomial(4, 2) == (1, 1, 2, 1, 1)
+        assert shareshian_wachs(2) == {(2, 0, 0): 1, (0, 1, 1): 1}
+        assert stanley(3) == {(0, 0): 1, (1, 1): 2, (1, 2): 2, (2, 3): 1}
+        for n in range(9):
+            assert sum(shareshian_wachs(n).values()) == sum(stanley(n).values()) == math.factorial(n)
+
+    @pytest.mark.parametrize("names,oracle", JOINT, ids=JOINT_IDS)
+    def test_joint_distribution(self, names, oracle):
+        for n in range(9):
+            assert joint_distribution(all_permutations(n), names) == oracle(n)
+
+    @pytest.mark.parametrize("names,oracle", JOINT, ids=JOINT_IDS)
+    def test_table_rows(self, capsys, names, oracle):
+        for n in range(9):
+            assert main(["table", "--n", str(n), "--stats", ",".join(names), "--format", "json"]) == 0
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            assert {tuple(value): count for value, count in rows} == oracle(n)
+
+    def test_a_defect_that_keeps_the_marginals(self, monkeypatch):
+        # swap the maj values of two permutations that differ in exc and maj
+        p, q = (1, 2, 3, 4, 5), (2, 1, 3, 4, 5)
+        assert (stats.exc(p), stats.maj(p)) != (stats.exc(q), stats.maj(q))
+        plant_statistic(monkeypatch, "maj", {p: q, q: p})
+        perms = list(all_permutations(5))
+        assert joint_distribution(perms, ["maj"]) == mahonian(5)
+        assert joint_distribution(perms, ["exc"]) == eulerian(5)
+        assert joint_distribution(perms, ["fix", "exc", "maj"]) != shareshian_wachs(5)
 
 class TestLemmaDomain:
     def test_lemma_words_are_distinct_and_bounded(self):
