@@ -284,21 +284,20 @@ def psi(p: Word) -> Word:
     """The subword-flipping involution; fixes the left-to-right maxima.
     Each chain factor mirrors the values on its letter set (i-th smallest
     <-> i-th largest, in place); mirroring positions instead breaks the
-    descent transfer for some permutations with two maxima. where[v] is the
-    letter of p holding v now. A set B_i and its prefix B_i & B_{i-1} of b
-    letters are one step on B_i: the holders of its top b values move to the
-    bottom b, the rest reverse into the top. Cost: O(n log n) plus the total
-    size of the chain sets.
+    descent transfer for some permutations with two maxima. A set B_i and
+    its prefix B_i & B_{i-1} of b letters are one step rho on B_i: its top
+    b values move to the bottom b, the rest reverse into the top. sigma[y]
+    is the value the letter y ends as. It is composed from the outermost
+    factor B_1 inwards, sigma[y] = sigma[rho(y)] for y in B_i, so no inverse
+    map is built. Cost: O(n log n) plus the total size of the chain sets.
     """
     chain = _chain(p)
-    where: dict[int, int] = {}
-    for letters, prefix in zip(chain[::2], [*chain[1::2], []]):
-        moved = len(letters) - len(prefix)
-        if moved and len(letters) > 1:  # else the mirrors cancel, or one letter stays
-            held = [*map(where.get, letters, letters)]
-            where.update(zip(letters, held[moved:] + held[moved - 1::-1]))
-    value = dict(zip(where.values(), where))
-    return tuple(map(value.get, p, p))
+    sigma: dict[int, int] = {}
+    for letters, prefix in zip(chain[::-2], [[], *chain[-2::-2]]):
+        if len(prefix) < len(letters) > 1:  # else the mirrors cancel, or one letter stays
+            source = letters[len(prefix):][::-1] + prefix  # rho(y) for each y of letters
+            sigma.update(zip(letters, [*map(sigma.get, source, source)]))
+    return tuple(map(sigma.get, p, p))
 
 
 def avoids(p: Word, pattern) -> bool:

@@ -30,9 +30,11 @@ class LeftToRightMaxima(NamedTuple):
 
 def make_word(letters: Iterable[int]) -> Word:
     """Validate and freeze a sequence of pairwise-distinct naturals."""
-    word = tuple(int(x) for x in letters)
+    word = tuple(letters)
     seen: set[int] = set()
     for x in word:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ParseError(f"letter {x!r} is not an integer")
         if x < 1:
             raise ParseError(f"letters must be naturals >= 1, got {x}")
         if x in seen:

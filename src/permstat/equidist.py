@@ -71,7 +71,7 @@ def lemma_words(max_len: int = LEMMA_MAX_LEN) -> Iterator[Word]:
 Keys = tuple[str, ...]
 
 #: objects per column table; a chunk's columns are all the engine holds
-CHUNK = 32
+CHUNK = 256
 
 
 def _inv2(p: Word) -> int:
@@ -97,6 +97,16 @@ _DERIVED = {
 }
 
 
+def _profile_entry(r: int, profiles: list) -> Callable:
+    """Reads rmaj:r off a rawlings profile (rmaj:1, ..., rmaj:L), which ends
+    at rmaj:L = inv. Where the chunk's profiles share one length L >= 1, as
+    on one S_n, that is one itemgetter; else an expression per profile."""
+    lengths = {len(profile) for profile in profiles if profile is not None}
+    if len(lengths) == 1 and 0 not in lengths:
+        return itemgetter(min(r, *lengths) - 1)
+    return lambda profile: profile[min(r, len(profile)) - 1] if profile else 0
+
+
 class Columns(dict):
     """The values the claims read over a chunk of objects: per key a list,
     row i for object i, computed on first use. "p" is the chunk itself.
@@ -117,16 +127,17 @@ class Columns(dict):
 
     def __missing__(self, key: str) -> list:
         image, _, name = key.rpartition(".")
-        if name.startswith("rmaj:"):  # read off the profile rawlings(w) = (rmaj:1, ..., rmaj:n)
-            r = sys.maxsize if name == "rmaj:n" else int(name[5:])
+        rmaj = name.startswith("rmaj:")
+        if rmaj:  # read off the profile rawlings(w) = (rmaj:1, ..., rmaj:n)
             image = key[:-len(name)] + "rawlings"
-            fn = lambda profile: profile[min(r, len(profile)) - 1] if profile else 0  # noqa: E731
-        else:
-            fn = _DERIVED.get(name) or getattr(stats, name, None) or getattr(bijections, name)
         try:
             words = self[image or "p"]
         except WordNotPermutation:  # a profile names the family, not rmaj:r
             raise WordNotPermutation(name) from None
+        if rmaj:
+            fn = _profile_entry(sys.maxsize if name == "rmaj:n" else int(name[5:]), words)
+        else:
+            fn = _DERIVED.get(name) or getattr(stats, name, None) or getattr(bijections, name)
         holes = words.count(None)
         start = time.perf_counter()
         column = [None if w is None else fn(w) for w in words] if holes else list(map(fn, words))

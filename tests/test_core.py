@@ -32,6 +32,11 @@ class TestConstruction:
         with pytest.raises(ParseError):
             core.make_word([0, 1])
 
+    @pytest.mark.parametrize("letters", [[2.7, 1], [True, 2], ["3", 1], ["x"]])
+    def test_make_word_rejects_a_letter_that_is_not_an_int(self, letters):
+        with pytest.raises(ParseError, match="not an integer"):
+            core.make_word(letters)
+
 
 class TestInverse:
     def test_examples(self):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from test_witnesses import plant_statistic
@@ -110,6 +111,12 @@ class TestJointDistribution:
     def test_permutation_only_statistic_on_a_word(self):
         with pytest.raises(WordNotPermutation):
             joint_distribution([(2, 5)], ["exc"])
+
+    def test_rmaj_over_words_of_mixed_sizes(self):
+        words = [(), (1,), (2, 1), (1, 3, 2), (3, 1, 2, 4)]
+        counts = Counter(tuple(stats.rawlings(w, r) for r in (1, 3, 9)) for w in words)
+        assert counts == {(0, 0, 0): 2, (1, 1, 1): 1, (2, 1, 1): 1, (1, 2, 2): 1}
+        assert joint_distribution(words, ["rmaj:1", "rmaj:3", "rmaj:9"]) == counts
 
     def test_rmaj_on_a_word_names_the_statistic(self):
         with pytest.raises(WordNotPermutation, match=r"^statistic 'rmaj:2' requires"):
@@ -232,24 +239,38 @@ class TestChunks:
         assert claims["rmaj:1 = maj"]["witness"] == {"perm": list(perm)}
         assert claims["rmaj:1 = maj"]["checked"] == checked
 
-    @pytest.mark.parametrize("chunk", [1, 7, equidist.CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 7, 32, equidist.CHUNK])
     def test_filtered_tally_spans_chunks(self, monkeypatch, chunk):
         monkeypatch.setattr(equidist, "CHUNK", chunk)
         calls = []
         real = bijections.psi
         monkeypatch.setattr(bijections, "psi", lambda p: calls.append(p) or real(p))
-        assert verify_suite(7, "kratt")["passed"]
-        assert math.factorial(7) > 100 * chunk
+        assert verify_suite(8, "kratt")["passed"]
+        assert math.factorial(8) > 100 * chunk
         # psi is called on the 321-avoiders only, each once
-        assert len(calls) == sum(equidist._catalan(n) for n in range(8)) == 626
+        assert len(calls) == sum(equidist._catalan(n) for n in range(9)) == 2056
         assert all(bijections.avoids(p, "321") for p in calls)
 
     def test_joint_distribution_of_a_one_shot_iterator_longer_than_a_chunk(self):
-        assert math.factorial(6) > 3 * equidist.CHUNK
-        perms = iter(all_permutations(6))
-        assert joint_distribution(perms, ["inv"]) == mahonian(6)
+        assert math.factorial(7) > 3 * equidist.CHUNK
+        perms = iter(all_permutations(7))
+        assert joint_distribution(perms, ["inv"]) == mahonian(7)
         assert next(perms, None) is None
-        assert joint_distribution(iter(all_permutations(6)), []) == {(): 720}
+        assert joint_distribution(iter(all_permutations(7)), []) == {(): 5040}
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_claims_do_not_depend_on_the_width(self, monkeypatch, planted):
+        if planted:  # the 601st permutation of S_6 lies in a later chunk at every width
+            perm = list(all_permutations(6))[600]
+            real = stats.maj
+            monkeypatch.setattr(stats, "maj", lambda p: real(p) + (p == perm))
+        fields = itemgetter("claim", "status", "n_range", "checked", "witness")
+        reports = []
+        for chunk in (1, 7, 32, equidist.CHUNK):
+            monkeypatch.setattr(equidist, "CHUNK", chunk)
+            reports.append([fields(c) for c in verify_suite(6, "all")["claims"]])
+        assert reports[1:] == reports[:1] * 3
+        assert any(status == "fail" for _, status, *_ in reports[0]) is planted
 
 
 def eulerian(n):
