@@ -22,7 +22,7 @@ from bisect import bisect_left
 from .core import BELOW, Word
 # bench/tracing.py patches these names until ROADMAP item 1 retargets it
 from .core import complement_subword_on, split_at_min  # noqa: F401
-from .errors import InvariantViolation, LetterCollision, UnknownPattern
+from .errors import EmptyWord, LetterCollision, UnknownPattern
 
 
 #: the rules fired by one insertion, in order: "a" or "b" steps, then one
@@ -203,7 +203,7 @@ def f_insert(k: int, t: Word) -> tuple[Word, InsertionTrace]:
 def f_uninsert(q: Word) -> tuple[int, Word]:
     """Recover (k, t) from q = f_insert(k, t). Inverse of one insertion."""
     if not q:
-        raise InvariantViolation("cannot un-insert from the empty word")
+        raise EmptyWord("cannot un-insert from the empty word")
     _distinct(q)
     val, kids = _tree(q)
     [v] = _uninsert(kids, 1)

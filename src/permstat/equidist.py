@@ -31,7 +31,9 @@ DEFAULT_CAP = 10
 #: bounded domain for the word-level lemma suites
 LEMMA_ALPHABET = range(1, 8)
 LEMMA_MAX_LEN = 5
-_LETTERS = range(1, 9)  # the letters a lemma inserts
+_SIGMA_MAX_LEN = LEMMA_MAX_LEN - 1  # lemma 6 inserts two letters
+_LETTERS = range(LEMMA_ALPHABET.start, LEMMA_ALPHABET.stop + 1)  # the letters a lemma inserts
+_ALPHABET_TEXT = f"{{{LEMMA_ALPHABET[0]}..{LEMMA_ALPHABET[-1]}}}"
 
 
 def size_cap() -> int:
@@ -61,9 +63,9 @@ def _words(length: int) -> Iterator[Word]:
         yield from itertools.permutations(combo)
 
 
-def lemma_words(max_len: int = LEMMA_MAX_LEN) -> Iterator[Word]:
-    """All distinct words of length <= max_len on the lemma alphabet, shortest first."""
-    return itertools.chain.from_iterable(map(_words, range(max_len + 1)))
+def lemma_words() -> Iterator[Word]:
+    """All distinct words of length <= LEMMA_MAX_LEN on the lemma alphabet, shortest first."""
+    return itertools.chain.from_iterable(map(_words, range(LEMMA_MAX_LEN + 1)))
 
 
 # -- value columns and joint distributions ----------------------------------------
@@ -97,16 +99,6 @@ _DERIVED = {
 }
 
 
-def _profile_entry(r: int, profiles: list) -> Callable:
-    """Reads rmaj:r off a rawlings profile (rmaj:1, ..., rmaj:L), which ends
-    at rmaj:L = inv. Where the chunk's profiles share one length L >= 1, as
-    on one S_n, that is one itemgetter; else an expression per profile."""
-    lengths = {len(profile) for profile in profiles if profile is not None}
-    if len(lengths) == 1 and 0 not in lengths:
-        return itemgetter(min(r, *lengths) - 1)
-    return lambda profile: profile[min(r, len(profile)) - 1] if profile else 0
-
-
 class Columns(dict):
     """The values the claims read over a chunk of objects: per key a list,
     row i for object i, computed on first use. "p" is the chunk itself.
@@ -118,7 +110,8 @@ class Columns(dict):
     k, avoider321 and avoider312 where w has the pattern, and so is every
     image of that row. The functions are looked up on their modules once per
     column, so a patched one sees every call. spent maps each key to
-    (objects, seconds).
+    (objects, seconds). The objects have one size, as _chunks gives them,
+    so "rmaj:r" is one itemgetter over the column of rawlings profiles.
     """
 
     def __init__(self, objects: list, spent: dict):
@@ -135,7 +128,9 @@ class Columns(dict):
         except WordNotPermutation:  # a profile names the family, not rmaj:r
             raise WordNotPermutation(name) from None
         if rmaj:
-            fn = _profile_entry(sys.maxsize if name == "rmaj:n" else int(name[5:]), words)
+            size = len(next((w for w in words if w is not None), ()))
+            r = size if name == "rmaj:n" else min(int(name[5:]), size)
+            fn = itemgetter(r - 1) if size else len  # the empty word's profile is ()
         else:
             fn = _DERIVED.get(name) or getattr(stats, name, None) or getattr(bijections, name)
         holes = words.count(None)
@@ -158,8 +153,10 @@ class Row:
 
 
 def _chunks(objects: Iterable[Word]) -> Iterator[list]:
-    stream = iter(objects)
-    return iter(lambda: list(itertools.islice(stream, CHUNK)), [])
+    """The objects in order, in lists of at most CHUNK objects of one size:
+    a new list starts wherever the size changes."""
+    for _, run in itertools.groupby(objects, len):
+        yield from iter(lambda: list(itertools.islice(run, CHUNK)), [])
 
 
 def joint_distribution(perms: Iterable[Word], names) -> dict[tuple, int]:
@@ -222,7 +219,7 @@ class Lemma(NamedTuple):
     label: str
     suite: str
     fails: Callable[[Row, int], object]
-    n_range: str = "words len<=5 on {1..7}, k<=8"
+    n_range: str = f"words len<={LEMMA_MAX_LEN} on {_ALPHABET_TEXT}, k<={_LETTERS[-1]}"
     n_max: int = LEMMA_MAX_LEN
     n_min = 0  # not a field: every lemma starts at the empty word
 
@@ -306,7 +303,9 @@ def _insertion_lemmas(ins: str, fixstat: str, eulstat: str) -> tuple[Lemma, ...]
         Lemma(f"monotonicity {tag}", suite, monotonicity),
         Lemma(f"lemma4 {tag}", suite, lemma4),
         Lemma(f"lemma5 {tag}", suite, lemma5),
-        Lemma(f"lemma6 {tag}", suite, lemma6, "sigma len<=4 on {1..7}, k,l<=8", 4),
+        Lemma(f"lemma6 {tag}", suite, lemma6,
+              f"sigma len<={_SIGMA_MAX_LEN} on {_ALPHABET_TEXT}, k,l<={_LETTERS[-1]}",
+              _SIGMA_MAX_LEN),
     )
 
 

@@ -59,7 +59,3 @@ class InvalidSize(PermstatError):
 
 class ParseError(PermstatError):
     pass
-
-
-class InvariantViolation(PermstatError):
-    """An internal structural contract failed; indicates a defect."""

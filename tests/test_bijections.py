@@ -12,7 +12,7 @@ from permstat.core import (
     restrict_below,
     split_at_min,
 )
-from permstat.errors import InvariantViolation, LetterCollision, PermstatError
+from permstat.errors import EmptyWord, LetterCollision, PermstatError
 from test_stats import identity
 
 
@@ -249,7 +249,7 @@ class TestFInsert:
                 assert bijections.f_uninsert(word) == (k, t)
 
     def test_uninsert_empty(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(EmptyWord):
             bijections.f_uninsert(())
 
 

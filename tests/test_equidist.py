@@ -273,6 +273,65 @@ class TestChunks:
         assert any(status == "fail" for _, status, *_ in reports[0]) is planted
 
 
+class TestOneSizePerChunk:
+    """A chunk holds objects of one size, so a run of sizes that alternates
+    is cut wherever the size changes."""
+
+    # runs of one size longer and shorter than a chunk of 3, then sizes that alternate
+    WORDS = [*(w for n in (2, 0, 3, 1, 3, 4, 2) for w in itertools.permutations(range(1, n + 1))),
+             (1,), (2, 1), (), (3, 1, 2, 4), (1, 2), (2, 1), (2, 1, 3), ()]
+
+    def test_chunks_hold_one_size_in_order(self, monkeypatch):
+        monkeypatch.setattr(equidist, "CHUNK", 3)
+        chunks = list(equidist._chunks(iter(self.WORDS)))
+        assert all(len({len(w) for w in chunk}) == 1 and len(chunk) <= 3 for chunk in chunks)
+        assert [w for chunk in chunks for w in chunk] == self.WORDS
+        # a chunk ends full or where the size changes
+        assert all(len(a) == 3 or len(a[0]) != len(b[0]) for a, b in zip(chunks, chunks[1:]))
+
+    def test_rmaj_and_inv_over_a_one_shot_iterator(self, monkeypatch):
+        monkeypatch.setattr(equidist, "CHUNK", 3)
+        counts = Counter(
+            (*(stats.rawlings(w, r) for r in (1, 3, 9)), stats.inv(w)) for w in self.WORDS)
+        names = ["rmaj:1", "rmaj:3", "rmaj:9", "inv"]
+        assert joint_distribution(iter(self.WORDS), names) == counts
+
+
+#: a permutation that neither phi nor psi fixes: on (1, 2, 3, 4), which phi
+#: fixes, a wrong ini passes every claim
+TARGET = (2, 4, 1, 3)
+#: no claim reads these two; only their oracle tests guard them
+UNGUARDED = {"imaj", "ai"}
+
+
+@pytest.mark.parametrize("name", [*stats.REGISTRY, "rawlings", "phi", "psi", "avoids", "f_insert"])
+def test_every_kernel_verify_reads_fails_a_claim_when_wrong(monkeypatch, name):
+    """One wrong value in a kernel fails some suite of verify_suite(4),
+    but for the UNGUARDED statistics."""
+    module = stats if hasattr(stats, name) else bijections
+    real = getattr(module, name)
+    if name == "f_insert":  # wrong on (5, TARGET) alone, a pair the lemmas insert
+        def value(f, w):
+            return f(5, w)
+
+        def planted(k, t):
+            return real(k, wrong if (k, t) == (5, TARGET) else t)
+    else:  # tuple(w): ides and imaj call des and maj on a list
+        def value(f, w):
+            return (f(w, "321"), f(w, "312")) if name == "avoids" else f(w)
+
+        def planted(w, *rest):
+            return real(wrong if tuple(w) == TARGET else w, *rest)
+    wrong = next(q for q in itertools.permutations(TARGET) if value(real, q) != value(real, TARGET))
+    monkeypatch.setattr(module, name, planted)
+    if name in stats.REGISTRY:
+        monkeypatch.setitem(stats.REGISTRY, name, (planted, stats.REGISTRY[name][1]))
+    assert value(planted, TARGET) != value(real, TARGET)
+    suites = sorted(equidist.SUITES, key=lambda suite: suite.startswith("lemmas"))
+    caught = any(not verify_suite(4, suite)["passed"] for suite in suites)
+    assert caught is (name not in UNGUARDED)
+
+
 def eulerian(n):
     """{(k,): A(n, k)} by A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1)."""
     row = [1]
@@ -396,7 +455,8 @@ class TestJointClosedForms:
 
 class TestLemmaDomain:
     def test_lemma_words_are_distinct_and_bounded(self):
-        words = list(equidist.lemma_words(max_len=3))
+        words = [w for w in equidist.lemma_words() if len(w) <= 3]
+        assert max(map(len, equidist.lemma_words())) == equidist.LEMMA_MAX_LEN
         assert len(words) == len(set(words))
         for w in words:
             assert len(w) <= 3
