@@ -9,7 +9,7 @@ enumeration and verification engine.
 from . import bijections, core, equidist, stats
 from .bijections import avoids, f_insert, f_uninsert, phi, phi_inverse, psi
 from .equidist import verify_suite
-from .stats import REGISTRY, hook_factorization
+from .stats import REGISTRY
 
 __all__ = [
     "REGISTRY",
@@ -19,7 +19,6 @@ __all__ = [
     "equidist",
     "f_insert",
     "f_uninsert",
-    "hook_factorization",
     "phi",
     "phi_inverse",
     "psi",

@@ -48,7 +48,10 @@ def is_permutation(w: Sequence[int]) -> bool:
 
 
 def inverse(p: Word) -> Word:
-    """The inverse permutation: q with q[p(i)] = i."""
+    """The inverse permutation: q with q[p(i)] = i. Letters must be ints
+    (not bools, as in make_word) and form a permutation of 1..n."""
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in p) or not is_permutation(p):
+        raise NotAPermutation(f"{p} is not a permutation of 1..{len(p)}")
     q = [0] * len(p)
     for i, x in enumerate(p, start=1):
         q[x - 1] = i

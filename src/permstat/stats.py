@@ -12,9 +12,9 @@ from bisect import bisect_left, bisect_right
 from operator import eq, gt, lt
 from typing import NamedTuple
 
-from .core import BELOW, Word, is_permutation
+from .core import BELOW, Word
 # bench/tracing.py patches these names until ROADMAP item 1 retargets it
-from .core import inverse, split_at_min  # noqa: F401
+from .core import inverse, is_permutation, split_at_min  # noqa: F401
 from .errors import EmptyWord, InvalidR, UnknownStatistic, WordNotPermutation
 
 
@@ -67,15 +67,14 @@ def _require_permutation(w: Word, name: str) -> None:
 
 def _inverse(p: Word, name: str) -> list[int]:
     """The inverse of p as a list, checked while it is built: a letter above
-    n is out of range, one below 1 wraps, a repeated one leaves a hole."""
+    n is out of range, one that is not an integer is no index at all, one
+    below 1 wraps, a repeated one leaves a hole."""
     q = [0] * len(p)
     try:
         for i, x in enumerate(p, start=1):
             q[x - 1] = i
-    except (IndexError, TypeError):  # a permutation of non-integers fails as inverse does
-        if is_permutation(p):
-            raise
-        q = [0]
+    except (IndexError, TypeError):
+        raise WordNotPermutation(name) from None
     if 0 in q or p and min(p) < 1:
         raise WordNotPermutation(name)
     return q
@@ -103,8 +102,9 @@ def ides(p: Word) -> int:
 
 # -- admissible inversions ---------------------------------------------------
 
-def _admissible(w: Word) -> tuple[int, int]:
-    """(ai, des + 1) in one pass, (0, 0) for the empty word:
+def ai(w: Word) -> int:
+    """Inversions (i, j) with w(j) < w(j+1), or w(j) > w(k) for some i < k < j.
+
     ai = inv - sum (j - 1 - L(j)) over j = |w| and the descents j, where L(j)
     is the nearest position left of j with a smaller letter (0 if none): the
     letters strictly between are larger than w(j), so exactly the inversions
@@ -113,28 +113,21 @@ def _admissible(w: Word) -> tuple[int, int]:
     """
     v = (BELOW, *w, BELOW)
     left = [0]  # positions of increasing letters, the last one L(j)
-    inadmissible = ends = 0
+    inadmissible = 0
     for j in range(1, len(w) + 1):
         y = v[j + 1]
         if v[j] > y:  # a descent, or j = |w|
             inadmissible += j - 1 - left[-1]
-            ends += 1
             while v[left[-1]] > y:
                 left.pop()
         else:
             left.append(j)
-    return inv(w) - inadmissible, ends
-
-
-def ai(w: Word) -> int:
-    """Inversions (i, j) with w(j) < w(j+1), or w(j) > w(k) for some i < k < j."""
-    return _admissible(w)[0]
+    return inv(w) - inadmissible
 
 
 def aid(w: Word) -> int:
-    """ai + des, from one pass."""
-    admissible, ends = _admissible(w)
-    return admissible + ends - 1 if ends else 0
+    """ai + des, the paper's definition, so every claim on aid also checks ai."""
+    return ai(w) + des(w)
 
 
 # -- hook factorization ------------------------------------------------------
@@ -277,9 +270,9 @@ def rawlings(p: Word, r: int | None = None) -> int | tuple[int, ...]:
     (Rawlings, 1981). The inversions of gap g, the x with x + g to their
     left, are one comparison of the inverse with itself shifted by g, so one
     r costs O(n r)."""
-    pos = _inverse(p, "rmaj" if r is None else f"rmaj:{r}")
     if r is not None and (isinstance(r, bool) or not isinstance(r, int) or r < 1):
         raise InvalidR(f"r must be an integer >= 1, got {r!r}")
+    pos = _inverse(p, "rmaj" if r is None else f"rmaj:{r}")
     n = len(p)
     top = n if r is None else min(r, n)
     step = [0] * (n + 1)  # step[g]: minus the positions of the descents of gap g

@@ -44,6 +44,12 @@ class TestInverse:
         assert core.inverse((1, 2, 3, 4, 5)) == (1, 2, 3, 4, 5)
         assert core.inverse((3, 2, 1)) == (3, 2, 1)
 
+    @pytest.mark.parametrize(
+        "p", [(0, 1), (1, 1), (1, 5), (2, 1, 5), (-1, 1), (1.0, 2.0), (True,), (True, 2), ("1",)])
+    def test_rejects_what_is_not_a_permutation(self, p):
+        with pytest.raises(NotAPermutation):
+            core.inverse(p)
+
     def test_involution_exhaustive(self):
         for n in range(7):
             for p in itertools.permutations(range(1, n + 1)):

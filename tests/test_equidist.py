@@ -300,14 +300,14 @@ class TestOneSizePerChunk:
 #: a permutation that neither phi nor psi fixes: on (1, 2, 3, 4), which phi
 #: fixes, a wrong ini passes every claim
 TARGET = (2, 4, 1, 3)
-#: no claim reads these two; only their oracle tests guard them
-UNGUARDED = {"imaj", "ai"}
+#: no claim reads imaj (aid = ai + des guards ai); only its oracle tests guard it
+UNGUARDED = {"imaj"}
 
 
 @pytest.mark.parametrize("name", [*stats.REGISTRY, "rawlings", "phi", "psi", "avoids", "f_insert"])
 def test_every_kernel_verify_reads_fails_a_claim_when_wrong(monkeypatch, name):
     """One wrong value in a kernel fails some suite of verify_suite(4),
-    but for the UNGUARDED statistics."""
+    but for the UNGUARDED statistic."""
     module = stats if hasattr(stats, name) else bijections
     real = getattr(module, name)
     if name == "f_insert":  # wrong on (5, TARGET) alone, a pair the lemmas insert

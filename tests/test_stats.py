@@ -348,9 +348,11 @@ class TestRawlings:
             for p in all_perms(n):
                 assert equidist._inv2(p) == len(inv_set_r(p, 2))
 
-    def test_invalid_r(self):
+    @pytest.mark.parametrize("p", [(1,), (1, 3), (1.0, 2.0), (2, 2)])
+    def test_invalid_r(self, p):
+        """r is checked before the word, so a bad r on a bad word is InvalidR."""
         with pytest.raises(InvalidR):
-            stats.rawlings((1,), 0)
+            stats.rawlings(p, 0)
 
     @pytest.mark.parametrize("r", [True, False, 2.5, "2"])
     def test_r_that_is_not_an_integer(self, r):
@@ -528,6 +530,22 @@ class TestStatVector:
             with pytest.raises(WordNotPermutation) as err:
                 func(w)
             assert err.value.name == name
+
+    @pytest.mark.parametrize("w", [(1.0, 2.0), (2.0, 1), (1.5, 2), ("1", 2), (None,)])
+    def test_letters_that_are_not_integers(self, w):
+        """The inverse-based kernels raise WordNotPermutation, not TypeError,
+        where no letter can index the inverse."""
+        for name, func in [("imaj", stats.imaj), ("ides", stats.ides), ("rmaj", stats.rawlings),
+                           ("rmaj:2", lambda p: stats.rawlings(p, 2))]:
+            with pytest.raises(WordNotPermutation) as err:
+                func(w)
+            assert err.value.name == name
+
+    def test_registry_holds_the_module_functions(self):
+        """stat_vector reads REGISTRY and the claim engine the module
+        attribute: both must name one function."""
+        for name, (func, _) in stats.REGISTRY.items():
+            assert func is getattr(stats, name)
 
     def test_every_permutation_check_is_is_permutation(self):
         names = [name for name, (_, perm_only) in stats.REGISTRY.items() if perm_only]
