@@ -348,9 +348,13 @@ class TestRawlings:
             for p in all_perms(n):
                 assert equidist._inv2(p) == len(inv_set_r(p, 2))
 
-    @pytest.mark.parametrize("p", [(1,), (1, 3), (1.0, 2.0), (2, 2)])
-    def test_invalid_r(self, p):
-        """r is checked before the word, so a bad r on a bad word is InvalidR."""
+    def test_invalid_r(self):
+        with pytest.raises(InvalidR):
+            stats.rawlings((1,), 0)
+
+    @pytest.mark.parametrize("p", [(1, 3), (1.0, 2.0), (2, 2)])
+    def test_invalid_r_is_checked_before_the_word(self, p):
+        """A bad r on a bad word is InvalidR, not WordNotPermutation."""
         with pytest.raises(InvalidR):
             stats.rawlings(p, 0)
 
