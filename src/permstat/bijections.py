@@ -255,7 +255,7 @@ def _chain(p: Word) -> list[list[int]]:
     """
     _distinct(p)
     maxima, segments = [], []  # segments[i]: the letters between m_i and m_{i+1}
-    top, segment = 0, []  # letters are >= 1, so the first one is a maximum
+    top, segment = p[0] - 1 if p else 0, []  # below the first letter, which is a maximum
     for x in p:
         if x > top:
             top = x

@@ -67,7 +67,7 @@ def left_to_right_maxima(w: Word) -> LeftToRightMaxima:
     """Positions i with w(i) > w(j) for all j < i, and their values."""
     positions: list[int] = []
     values: list[int] = []
-    best = 0
+    best = w[0] - 1 if w else 0  # below the first letter, which is a maximum
     for i, x in enumerate(w, start=1):
         if x > best:
             positions.append(i)

@@ -8,7 +8,8 @@ distinct words of bounded length on a small alphabet.
 Every claim is a record in CLAIMS. One engine runs them, once over
 S_0..S_n and once over the lemma words: for each size it enumerates the
 objects once, in chunks, and feeds every selected claim from columns of
-the chunk's values, each computed on first use.
+the chunk's values, each computed on first use. Over S_n, a Memo computes
+a statistic read under phi or psi once per permutation, by rank.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 import time
+from array import array
 from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -93,10 +95,35 @@ _DERIVED = {
     "avoider312": lambda w: w if bijections.avoids(w, "312") else None,
     "|Inv_2|": _inv2,
     "lrmax": left_to_right_maxima,
-    **{f"f{k}": lambda w, k=k: None if k in w else bijections.f_insert(k, w)[0] for k in _LETTERS},
-    **{f"g{k}": lambda w, k=k: None if k in w else (k,) + w for k in _LETTERS},
+    **{f"f{k}": lambda w, k=k: bijections.f_insert(k, w)[0] for k in _LETTERS},
+    **{f"g{k}": lambda w, k=k: (k,) + w for k in _LETTERS},
     "free": lambda w: [k for k in _LETTERS if k not in w],
 }
+_INSERTED = {f"{ins}{k}": k for ins in "fg" for k in _LETTERS}  # holes where w has k
+
+
+class Memo(dict):
+    """Over S_n by lexicographic rank: per statistic n! small ints, -1 until
+    computed, and psi[rank(p)] = rank(psi(p)). A rank adds the Lehmer-code
+    shares of a word's halves (Lehmer, 1960), each packed above the bit set
+    of its letters; the sets add up to {1..n} exactly on S_n."""
+
+    def __init__(self, n: int, names):
+        size, h, shift, letters = math.factorial(n), n // 2, n + 2, range(1, n + 1)
+        super().__init__((name, array("h", [-1]) * size) for name in names)
+        self.psi = array("i", [-1]) * size
+        head = {w: i * math.factorial(n - h) << shift | sum(1 << x for x in w)
+                for i, w in enumerate(itertools.permutations(letters, h))}
+        tail = {w: j << shift | sum(1 << x for x in w)  # j: w's rank on its letters
+                for c in itertools.combinations(letters, n - h)
+                for j, w in enumerate(itertools.permutations(c))}
+        self.tables = head, tail, h, shift, (1 << shift) - 1, (1 << n + 1) - 2
+
+    def ranks(self, words: list) -> list[int] | None:
+        """The words' ranks, or None if one is not in S_n."""
+        head, tail, h, shift, low, full = self.tables
+        totals = [head.get(w[:h], -1) + tail.get(w[h:], -1) for w in words]
+        return [t >> shift for t in totals] if all(t & low == full for t in totals) else None
 
 
 class Columns(dict):
@@ -109,14 +136,18 @@ class Columns(dict):
     "f5.f3.des" is des(f(3, f(5, w)))). f{k} and g{k} are None where w has
     k, avoider321 and avoider312 where w has the pattern, and so is every
     image of that row. The functions are looked up on their modules once per
-    column, so a patched one sees every call. spent maps each key to
-    (objects, seconds). The objects have one size, as _chunks gives them,
-    so "rmaj:r" is one itemgetter over the column of rawlings profiles.
+    column. spent maps each key to (objects, seconds), objects counting the
+    rows that are not holes. The objects have one size, as _chunks gives
+    them, so "rmaj:r" is one itemgetter over the column of rawlings profiles.
+    With a memo the objects are S_n from rank start on, and a statistic it
+    holds, of p, phi(p) or psi(p), is computed only where it is missing;
+    psi.psi is p where the memo has psi(psi(p)) = p.
     """
 
-    def __init__(self, objects: list, spent: dict):
+    def __init__(self, objects: list, spent: dict, memo: Memo | None = None, start: int = 0):
         super().__init__(p=objects)
-        self.spent = spent
+        self.spent, self.memo, self.start = spent, memo, start
+        self.ranks = {"": range(start, start + len(objects)), "phi": None, "psi": None}
 
     def __missing__(self, key: str) -> list:
         image, _, name = key.rpartition(".")
@@ -133,9 +164,26 @@ class Columns(dict):
             fn = itemgetter(r - 1) if size else len  # the empty word's profile is ()
         else:
             fn = _DERIVED.get(name) or getattr(stats, name, None) or getattr(bijections, name)
+        if name in _INSERTED:
+            words = [None if w is None or _INSERTED[name] in w else w for w in words]
+        memo, index = self.memo, None  # index: the rows' ranks under image, if memoized
+        if memo is not None and image in self.ranks and (name in memo or key == "psi.psi"):
+            index = self.ranks[image] = self.ranks[image] or memo.ranks(words)
+            if image == "psi" and index:
+                memo.psi[self.start:self.start + len(index)] = array("i", index)
         holes = words.count(None)
         start = time.perf_counter()
-        column = [None if w is None else fn(w) for w in words] if holes else list(map(fn, words))
+        if not index:
+            column = [None if w is None else fn(w) for w in words] if holes else [*map(fn, words)]
+        elif key == "psi.psi":
+            column = [p if memo.psi[r] == i else fn(q)
+                      for p, q, r, i in zip(self["p"], words, index, itertools.count(self.start))]
+        else:
+            values = memo[name]
+            for w, i in zip(words, index):
+                if values[i] < 0:
+                    values[i] = fn(w)
+            column = list(map(values.__getitem__, index))
         objects, seconds = self.spent.get(key, (0, 0.0))
         self.spent[key] = objects + len(words) - holes, seconds + time.perf_counter() - start
         self[key] = column
@@ -365,8 +413,10 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
 
     Returns claim -> (witness, checked), where checked counts the objects
     examined up to the witness, or all of them. Joint distributions stream
-    into per-n count maps, one per distinct tally, so nothing outlives a
-    size but those maps.
+    into per-n count maps, one per distinct tally. Pointwise and Tallied
+    claims run over S_n in lexicographic order, with a Memo per n of the
+    registry statistics they read under phi or psi; nothing but the memo
+    and the count maps outlives a chunk.
     """
     found = {c: (None, 0) for c in claims}
     for n in range(n_max + 1):
@@ -374,9 +424,12 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
                 if found[c][0] is None and c.n_min <= n <= getattr(c, "n_max", n)]
         checks = [(c, _check(c)) for c in live if not isinstance(c, Tallied)]
         counts = {t: Counter() for c in live if isinstance(c, Tallied) for t in c.tallies(n)}
+        keys = {k for c in live if isinstance(c, Pointwise) for k in c.lhs + c.rhs}.union(*counts)
+        mapped = {k[4:] for k in keys if k[:4] in ("phi.", "psi.") and k[4:] in stats.REGISTRY}
+        memo = Memo(n, mapped) if mapped or "psi.psi" in keys else None
         size = 0
         for chunk in _chunks(objects(n) if live else ()):
-            columns = Columns(chunk, spent)
+            columns = Columns(chunk, spent, memo, size)
             for c, fails in checks:
                 if isinstance(c, Pointwise) and all(
                         columns[a] == columns[b] for a, b in zip(c.lhs, c.rhs)):

@@ -472,6 +472,30 @@ class TestPsi:
                 assert w.count(err.value.letter) > 1
 
 
+# distinct words of up to 8 letters, most of them <= 0
+nonpositive_words = hyp.lists(
+    hyp.integers(min_value=-20, max_value=3), max_size=8, unique=True
+).map(tuple)
+
+
+class TestPsiOnLettersBelowOne:
+    """psi commutes with standardization: on a word of distinct integers it
+    is psi of the order-isomorphic permutation, relabeled back."""
+
+    def test_examples(self):
+        assert bijections.psi((0, -1, -2)) == (0, -2, -1)
+        assert bijections.psi_chain((0, -1, -2)) == (frozenset({-2, -1}),)
+        assert bijections.psi((-2, -5, 0, -4, 3)) == (-2, -4, 0, -5, 3)
+
+    @given(nonpositive_words)
+    def test_standardization_oracle(self, w):
+        letters = sorted(w)
+        p = tuple(letters.index(x) + 1 for x in w)
+        assert bijections.psi(w) == tuple(letters[x - 1] for x in bijections.psi(p))
+        assert bijections.psi_chain(w) == tuple(
+            frozenset(letters[x - 1] for x in s) for s in bijections.psi_chain(p))
+
+
 class TestPsiAgainstOracle:
     """psi relabels values over the sorted chain sets; folding the subword
     mirror over the frozenset chain must give the same chain and image."""

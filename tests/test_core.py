@@ -88,6 +88,20 @@ class TestLeftToRightMaxima:
                 expected = core.LeftToRightMaxima(tuple(tops), tuple(p[i - 1] for i in tops))
                 assert core.left_to_right_maxima(p) == expected
 
+    def test_letters_below_one(self):
+        assert core.left_to_right_maxima((0, -1)) == core.LeftToRightMaxima((1,), (0,))
+        expected = core.LeftToRightMaxima((1, 3), (-3, -1))
+        assert core.left_to_right_maxima((-3, -5, -1, -2)) == expected
+
+    @given(hyp.lists(hyp.integers(min_value=-20, max_value=3), max_size=8, unique=True).map(tuple))
+    def test_standardization_oracle(self, w):
+        # the maxima of a word of distinct integers sit where those of the
+        # order-isomorphic permutation do, with the word's letters
+        letters = sorted(w)
+        lrm = core.left_to_right_maxima(tuple(letters.index(x) + 1 for x in w))
+        expected = core.LeftToRightMaxima(lrm.positions, tuple(letters[x - 1] for x in lrm.values))
+        assert core.left_to_right_maxima(w) == expected
+
     def test_permutation_always_has_first_position_and_max_value(self):
         for n in range(1, 7):
             for p in itertools.permutations(range(1, n + 1)):

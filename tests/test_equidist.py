@@ -297,6 +297,72 @@ class TestOneSizePerChunk:
         assert joint_distribution(iter(self.WORDS), names) == counts
 
 
+class TestMemo:
+    """Over S_n the engine keeps the statistics read under phi or psi by
+    lexicographic rank; a run computes each once per permutation and gives
+    the reports that computing every image would give."""
+
+    def test_rank_is_the_enumeration_index(self):
+        for n in range(8):
+            perms = list(all_permutations(n))
+            assert equidist.Memo(n, ()).ranks(perms) == list(range(len(perms)))
+
+    @pytest.mark.parametrize("word", [(1, 2, 2, 4), (0, 2, 3, 4), (1, 2, 3, 5), (2, 4, 1),
+                                      (2, 4, 1, 3, 5), (4, 4, 3, 1)])
+    def test_a_word_outside_s_4_has_no_rank(self, word):
+        memo = equidist.Memo(4, ())
+        assert memo.ranks([word]) is None
+        assert memo.ranks([(2, 4, 1, 3), word]) is None
+        assert memo.ranks([(2, 4, 1, 3)]) == [list(all_permutations(4)).index((2, 4, 1, 3))]
+
+    @pytest.mark.parametrize("n, word", [(0, (1,)), (1, ()), (1, (0,)), (1, (2,)), (2, (1, 1))])
+    def test_small_sizes(self, n, word):
+        assert equidist.Memo(n, ()).ranks([word]) is None
+
+    def test_an_image_outside_s_n_gives_the_same_witnesses(self, monkeypatch):
+        # a planted phi sends (2, 4, 1, 3) to a word with a letter repeated
+        # across the two halves; the witnesses are those of computing every
+        # image directly
+        real = bijections.phi
+        monkeypatch.setattr(bijections, "phi", lambda p: (1, 2, 2, 4) if p == TARGET else real(p))
+        fields = itemgetter("status", "checked", "witness")
+        claims = [fields(c) for c in verify_suite(4, "theorem1")["claims"]]
+        assert claims == [
+            ("fail", 20, {"perm": [2, 4, 1, 3], "lhs": [1, 2, 0, 0], "rhs": [2, 1, 2, 3]}),
+            ("fail", 20, {"perm": [2, 4, 1, 3]}),
+            ("fail", 21, {"perm": [2, 4, 1, 3]}),
+            ("pass", 34, None),
+        ]
+
+    def test_each_statistic_runs_once_per_permutation(self, monkeypatch):
+        calls = Counter()
+        for name in ("mix", "das"):
+            real = getattr(stats, name)
+            monkeypatch.setattr(stats, name,
+                                lambda p, name=name, real=real: calls.update([name]) or real(p))
+        assert verify_suite(6)["passed"]
+        perms = sum(math.factorial(n) for n in range(7))
+        assert perms == 874 and calls == {"mix": perms, "das": perms}
+
+    def test_no_value_outlives_a_run(self, monkeypatch):
+        # theorem1 reads aid through the memo alone; the lemma suites would
+        # call the planted aid on the word TARGET whatever the memo held
+        assert verify_suite(5, "theorem1")["passed"]
+        wrong = next(q for q in itertools.permutations(TARGET) if stats.aid(q) != stats.aid(TARGET))
+        plant_statistic(monkeypatch, "aid", {TARGET: wrong})
+        assert not verify_suite(5, "theorem1")["passed"]
+
+    @pytest.mark.parametrize("chunk", [32, 256])
+    def test_an_insertion_counts_the_words_that_lack_its_letter(self, monkeypatch, chunk):
+        monkeypatch.setattr(equidist, "CHUNK", chunk)
+        values = verify_suite(0)["values"]
+        for k in range(1, 9):
+            lacking = sum(1 for w in equidist.lemma_words() if k not in w)
+            assert lacking == (1237 if k <= 7 else 3620)
+            assert values[f"f{k}"]["objects"] == values[f"f{k}.aid"]["objects"] == lacking
+            assert values[f"g{k}"]["objects"] == values[f"g{k}.lec"]["objects"] == lacking
+
+
 #: a permutation that neither phi nor psi fixes: on (1, 2, 3, 4), which phi
 #: fixes, a wrong ini passes every claim
 TARGET = (2, 4, 1, 3)
