@@ -25,10 +25,6 @@ from .core import complement_subword_on, split_at_min  # noqa: F401
 from .errors import EmptyWord, LetterCollision, UnknownPattern
 
 
-#: the rules fired by one insertion, in order: "a" or "b" steps, then one
-#: closing "c", "d" or "base"
-InsertionTrace = tuple[str, ...]
-
 # A tree over the nodes 1..n is two lists: val[v] is the letter of node v,
 # and kids[2v], kids[2v + 1] are its left and right children (0 for none).
 # Node 0 lies below every letter and its right child kids[1] is the root, so
@@ -99,7 +95,7 @@ def _insert(val: list, kids: list[int], first: int) -> None:
                 break
 
 
-def _rules(val: list, kids: list[int], k: int) -> InsertionTrace:
+def _rules(val: list, kids: list[int], k: int) -> tuple[str, ...]:
     """The rules that inserting k would fire, read off the tree without
     changing it. Rule b would move beta into m's left slot before going on
     there, so the walk goes on in beta itself.
@@ -115,7 +111,7 @@ def _rules(val: list, kids: list[int], k: int) -> InsertionTrace:
     return (*rules, "d" if m else "base")
 
 
-def _traced_insert(val: list, kids: list[int], k: int) -> InsertionTrace:
+def _traced_insert(val: list, kids: list[int], k: int) -> tuple[str, ...]:
     """Add k to the tree as a new node by the rules of f; return those rules."""
     rules = _rules(val, kids, k)
     val.append(k)
@@ -180,7 +176,7 @@ def _word(val: list, kids: list[int]) -> Word:
         v = kids[2 * v + 1]
 
 
-def f_insert(k: int, t: Word) -> tuple[Word, InsertionTrace]:
+def f_insert(k: int, t: Word) -> tuple[Word, tuple[str, ...]]:
     """Insert k into t; the result always starts with k.
 
     With m the minimum of t's letters together with k, and t = alpha m beta
@@ -210,9 +206,10 @@ def f_uninsert(q: Word) -> tuple[int, Word]:
     return val[v], _word(val, kids)
 
 
-def phi_with_traces(p: Word) -> tuple[Word, tuple[InsertionTrace, ...]]:
-    """phi(p) and the rules of each insertion, the leftmost letter's last;
-    each insertion walks twice (rules, then surgery) and skips no rule-a run."""
+def phi_with_traces(p: Word) -> tuple[Word, tuple[tuple[str, ...], ...]]:
+    """phi(p) and the rules of each insertion, the leftmost letter's last:
+    "a" or "b" steps, then one closing "c", "d" or "base". Each insertion
+    walks twice (rules, then surgery) and skips no rule-a run."""
     _distinct(p)
     val, kids = [BELOW], [0, 0]
     traces = tuple(_traced_insert(val, kids, k) for k in reversed(p))

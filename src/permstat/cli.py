@@ -18,15 +18,6 @@ from .errors import ParseError, PermstatError, SizeCapExceeded
 FORMATS = ("plain", "json")  # and "csv" for the commands that print rows
 
 
-def _default_names(word) -> list[str]:
-    """The registry statistics that apply to word, in registry order."""
-    perm = is_permutation(word)
-    return [
-        name for name, (_, perm_only) in stats.REGISTRY.items()
-        if (perm or not perm_only) and (word or name != "ini")
-    ]
-
-
 def _names(text: str) -> list[str]:
     """The statistic names of a comma-separated list; there must be one."""
     names = [n.strip() for n in text.split(",") if n.strip()]
@@ -39,9 +30,13 @@ def cmd_stats(args) -> int:
     word = parse_word(args.perm)
     if args.names is not None:
         names = _names(args.names)
-    else:
-        names = _default_names(word)
-        if not is_permutation(word):
+    else:  # the registry statistics that apply to word, in registry order
+        perm = is_permutation(word)
+        names = [
+            name for name, (_, perm_only) in stats.REGISTRY.items()
+            if (perm or not perm_only) and (word or name != "ini")
+        ]
+        if not perm:
             print("note: input is not a permutation of 1..n; "
                   "permutation-only statistics omitted", file=sys.stderr)
     vector = stats.stat_vector(word, names)

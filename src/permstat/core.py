@@ -44,6 +44,8 @@ def make_word(letters: Iterable[int]) -> Word:
 
 
 def is_permutation(w: Sequence[int]) -> bool:
+    """Whether the sorted letters of w equal 1..len(w), compared with ==, so
+    letters equal to those ints, such as 1.0 or True, pass too."""
     return sorted(w) == list(range(1, len(w) + 1))
 
 

@@ -12,9 +12,9 @@ from bisect import bisect_left, bisect_right
 from operator import eq, gt, lt
 from typing import NamedTuple
 
-from .core import BELOW, Word
+from .core import BELOW, Word, is_permutation
 # bench/tracing.py patches these names until ROADMAP item 1 retargets it
-from .core import inverse, is_permutation, split_at_min  # noqa: F401
+from .core import inverse, split_at_min  # noqa: F401
 from .errors import EmptyWord, InvalidR, UnknownStatistic, WordNotPermutation
 
 
@@ -59,12 +59,6 @@ def ini(w: Word) -> int:
     return w[0]
 
 
-def _require_permutation(w: Word, name: str) -> None:
-    """Raise WordNotPermutation(name) unless core.is_permutation(w)."""
-    if sorted(w) != [*range(1, len(w) + 1)]:
-        raise WordNotPermutation(name)
-
-
 def _inverse(p: Word, name: str) -> list[int]:
     """The inverse of p as a list, checked while it is built: a letter above
     n is out of range, one that is not an integer is no index at all, one
@@ -82,13 +76,15 @@ def _inverse(p: Word, name: str) -> list[int]:
 
 def exc(p: Word) -> int:
     """Number of positions i with p(i) > i. Permutations only."""
-    _require_permutation(p, "exc")
+    if not is_permutation(p):
+        raise WordNotPermutation("exc")
     return sum(map(gt, p, range(1, len(p) + 1)))
 
 
 def fix(p: Word) -> int:
     """Number of fixed points. Permutations only."""
-    _require_permutation(p, "fix")
+    if not is_permutation(p):
+        raise WordNotPermutation("fix")
     return sum(map(eq, p, range(1, len(p) + 1)))
 
 
@@ -245,7 +241,8 @@ def das(p: Word) -> int:
     """Positions i where a descent is topped by a left-to-right maximum, or
     an ascent's right letter is dominated by some earlier letter.
     """
-    _require_permutation(p, "das")
+    if not is_permutation(p):
+        raise WordNotPermutation("das")
     count = 0
     best = 0  # the largest letter left of x
     for x, y in zip(p, p[1:]):

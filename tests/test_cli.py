@@ -42,6 +42,12 @@ class TestStatsCommand:
         pairs = dict(item.split("=") for item in out.split())
         assert pairs["des"] == "2" and pairs["inv"] == "3" and pairs["exc"] == "1"
 
+    def test_default_names_empty_word(self, capsys):
+        code, out, err = run(capsys, "stats", "")
+        assert (code, err) == (0, "")
+        assert out == ("des=0 exc=0 inv=0 maj=0 fix=0 imaj=0 ides=0 ai=0 aid=0"
+                       " lec=0 pix=0 aix=0 mix=0 das=0\n")
+
     def test_default_names_word_skips_permutation_only(self, capsys):
         code, out, err = run(capsys, "stats", "2 5 9")
         assert code == 0
