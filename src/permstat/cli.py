@@ -102,21 +102,20 @@ def cmd_table(args) -> int:
     if pattern is not None:
         perms = (p for p in perms if bijections.avoids(p, pattern))
     counts = joint_distribution(perms, names)
-    rows = sorted(counts.items())
+    values = sorted(counts)  # distinct, so sorting (value, count) pairs would order the same
     if args.format == "json":
         print(json.dumps({
             "stats": names, "n": args.n, "source": args.source,
-            "rows": [[list(value), count] for value, count in rows],
+            "rows": [[list(value), counts[value]] for value in values],
             "total": sum(counts.values()),
         }))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(names + ["count"])
-        for value, count in rows:
-            writer.writerow(list(value) + [count])
+        writer.writerows([*value, counts[value]] for value in values)
     else:
-        for value, count in rows:
-            print(" ".join(str(v) for v in value) + f" -> {count}")
+        for value in values:
+            print(" ".join(str(v) for v in value) + f" -> {counts[value]}")
     return 0
 
 

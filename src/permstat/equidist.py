@@ -138,15 +138,17 @@ class Columns(dict):
     image of that row. The functions are looked up on their modules once per
     column. spent maps each key to (objects, seconds), objects counting the
     rows that are not holes. The objects have one size, as _chunks gives
-    them, so "rmaj:r" is one itemgetter over the column of rawlings profiles.
+    them, so "rmaj:r" is one itemgetter over the column of rawlings profiles,
+    cut at rmaj:top below that size. avoider321.psi reads psi where it can.
     With a memo the objects are S_n from rank start on, and a statistic it
     holds, of p, phi(p) or psi(p), is computed only where it is missing;
     psi.psi is p where the memo has psi(psi(p)) = p.
     """
 
-    def __init__(self, objects: list, spent: dict, memo: Memo | None = None, start: int = 0):
+    def __init__(self, objects: list, spent: dict, memo: Memo | None = None, start: int = 0,
+                 top: int | None = None):
         super().__init__(p=objects)
-        self.spent, self.memo, self.start = spent, memo, start
+        self.spent, self.memo, self.start, self.top = spent, memo, start, top
         self.ranks = {"": range(start, start + len(objects)), "phi": None, "psi": None}
 
     def __missing__(self, key: str) -> list:
@@ -164,6 +166,8 @@ class Columns(dict):
             fn = itemgetter(r - 1) if size else len  # the empty word's profile is ()
         else:
             fn = _DERIVED.get(name) or getattr(stats, name, None) or getattr(bijections, name)
+        if name == "rawlings" and self.top is not None and self.top < len(self["p"][0]):
+            fn = lambda w, profile=fn, k=self.top: profile(w, None, k)
         if name in _INSERTED:
             words = [None if w is None or _INSERTED[name] in w else w for w in words]
         memo, index = self.memo, None  # index: the rows' ranks under image, if memoized
@@ -173,7 +177,9 @@ class Columns(dict):
                 memo.psi[self.start:self.start + len(index)] = array("i", index)
         holes = words.count(None)
         start = time.perf_counter()
-        if not index:
+        if image in ("avoider321", "avoider312") and name in self:  # w itself, but for holes
+            column = [None if w is None else v for w, v in zip(words, self[name])]
+        elif not index:
             column = [None if w is None else fn(w) for w in words] if holes else [*map(fn, words)]
         elif key == "psi.psi":
             column = [p if memo.psi[r] == i else fn(q)
@@ -209,13 +215,18 @@ def _chunks(objects: Iterable[Word]) -> Iterator[list]:
 
 def joint_distribution(perms: Iterable[Word], names) -> dict[tuple, int]:
     """The joint distribution of the named statistics over perms, any words
-    of distinct letters: a count map {value tuple: count}."""
+    of distinct letters: a count map {value tuple: count}, in O(n r) per
+    word for the largest rmaj:r read."""
     names = tuple(names)
     for name in names:  # Columns would also read other keys, and rmaj:0 as rmaj:n
         stats.resolve_statistic(name)
+    rmaj = {int(name[5:]): name for name in names if name.startswith("rmaj:")}
+    top = max(rmaj, default=None)
     counts: Counter = Counter()
     for chunk in _chunks(perms):
-        columns = Columns(chunk, {})
+        columns = Columns(chunk, {}, top=top)
+        if len(rmaj) == 1 and top < len(chunk[0]):  # one r: its own kernel, no profile to share
+            columns[rmaj[top]] = [stats.rawlings(w, top) for w in chunk]
         counts.update(zip(*map(columns.__getitem__, names)) if names else [()] * len(chunk))
     return dict(counts)
 

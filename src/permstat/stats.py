@@ -257,21 +257,22 @@ def das(p: Word) -> int:
 
 # -- Rawlings major index -----------------------------------------------------
 
-def rawlings(p: Word, r: int | None = None) -> int | tuple[int, ...]:
+def rawlings(p: Word, r: int | None = None, k: int | None = None) -> int | tuple[int, ...]:
     """The r-major index: the descents i with p(i) - p(i+1) >= r, summed,
     plus the inversions (i, j) with p(i) - p(j) < r, counted. rmaj:1 = maj,
     and rmaj:r = inv for every r >= n.
 
-    With r omitted, the tuple (rmaj:1, ..., rmaj:n): raising r by one moves
-    the pairs of gap exactly r from the descent sum to the inversion count
-    (Rawlings, 1981). The inversions of gap g, the x with x + g to their
-    left, are one comparison of the inverse with itself shifted by g, so one
-    r costs O(n r)."""
-    if r is not None and (isinstance(r, bool) or not isinstance(r, int) or r < 1):
-        raise InvalidR(f"r must be an integer >= 1, got {r!r}")
+    With r omitted, the profile (rmaj:1, ..., rmaj:m), m = min(k, n) or n
+    without k: raising r by one moves the pairs of gap exactly r from the
+    descent sum to the inversion count (Rawlings, 1981). The inversions of
+    gap g, the x with x + g to their left, are one comparison of the inverse
+    with itself shifted by g: O(n r) for one r, O(n m) for the profile."""
+    top = k if r is None else r
+    if top is not None and (isinstance(top, bool) or not isinstance(top, int) or top < 1):
+        raise InvalidR(f"r must be an integer >= 1, got {top!r}")
     pos = _inverse(p, "rmaj" if r is None else f"rmaj:{r}")
     n = len(p)
-    top = n if r is None else min(r, n)
+    top = n if top is None else min(top, n)
     step = [0] * (n + 1)  # step[g]: minus the positions of the descents of gap g
     value = 0  # becomes maj = rmaj:1
     for i in range(1, n):
@@ -283,7 +284,7 @@ def rawlings(p: Word, r: int | None = None) -> int | tuple[int, ...]:
     for g in range(1, top):  # add the x with x + g to their left
         value += step[g] + sum(map(lt, pos[g:], pos))
         profile.append(value)
-    return tuple(profile[:n]) if r is None else profile[-1]
+    return tuple(profile[:top]) if r is None else profile[-1]
 
 
 # -- registry -----------------------------------------------------------------

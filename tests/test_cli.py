@@ -1,13 +1,16 @@
 import csv
 import io
+import itertools
 import json
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from permstat import stats
 from permstat.cli import main
 from permstat.equidist import all_permutations, distributions_equal, joint_distribution
 
@@ -303,6 +306,28 @@ class TestTableCommand:
                                "--source", source, "--format", "json")
             assert code == 0
             assert json.loads(out)["total"] == math.comb(2 * n, n) // (n + 1)
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_rmaj_rows_against_a_direct_count(self, capsys, fmt):
+        """Each format prints, in sorted value order, the rows of a count of
+        rawlings(p, r) and inv(p) made per permutation, not by columns."""
+        names = ["rmaj:3", "inv", "rmaj:2", "rmaj:9"]
+        counts = Counter(
+            (stats.rawlings(p, 3), stats.inv(p), stats.rawlings(p, 2), stats.rawlings(p, 9))
+            for p in itertools.permutations(range(1, 6))
+        )
+        rows = sorted(counts.items())
+        if fmt == "json":
+            expected = json.dumps({"stats": names, "n": 5, "source": "all",
+                                   "rows": [[list(v), c] for v, c in rows], "total": 120}) + "\n"
+        elif fmt == "csv":
+            expected = "".join(",".join(map(str, row)) + "\n"
+                               for row in [names + ["count"]] + [[*v, c] for v, c in rows])
+        else:
+            expected = "".join(" ".join(map(str, v)) + f" -> {c}\n" for v, c in rows)
+        code, out, _ = run(capsys, "table", "--n", "5", "--stats", ",".join(names), "--format", fmt)
+        assert code == 0
+        assert out == expected
 
     def test_json_rows_sorted(self, capsys):
         code, out, _ = run(capsys, "table", "--n", "4", "--stats", "maj", "--format", "json")

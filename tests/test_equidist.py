@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import random
 from collections import Counter
 from operator import itemgetter
 
@@ -98,6 +99,58 @@ class TestJointDistribution:
         dist = joint_distribution(all_permutations(4), ["rmaj:1", "rmaj:2", "rmaj:9"])
         assert calls == [None] * 24
         assert dist == joint_distribution(all_permutations(4), ["maj", "rmaj:2", "inv"])
+
+    @pytest.mark.parametrize("names", [["rmaj:3", "des", "rmaj:2", "rmaj:9"],
+                                       ["rmaj:3", "des", "rmaj:2"], ["des", "rmaj:2"]])
+    def test_rmaj_beside_other_statistics(self, names):
+        def direct(words):
+            return Counter(tuple(stats.des(w) if name == "des" else stats.rawlings(w, int(name[5:]))
+                                 for name in names) for w in words)
+
+        for n in range(7):
+            assert joint_distribution(all_permutations(n), names) == direct(all_permutations(n))
+        words = [p for n in (4, 2, 6, 0, 3, 5, 1, 3)
+                 for p in itertools.islice(all_permutations(n), 0, None, 5)]
+        assert joint_distribution(words, names) == direct(words)
+
+    @staticmethod
+    def rawlings_calls(monkeypatch):
+        """(the arguments after the word, the value) of each call the engine
+        makes to rawlings, which it calls positionally."""
+        calls = []
+        real = stats.rawlings
+
+        def recording(p, *rest):
+            value = real(p, *rest)
+            calls.append((rest, value))
+            return value
+
+        monkeypatch.setattr(stats, "rawlings", recording)
+        return calls
+
+    @pytest.mark.parametrize("names, rest, length", [
+        (["rmaj:2", "rmaj:3"], (None, 3), 3), (["rmaj:3", "des", "rmaj:1"], (None, 3), 3),
+        (["rmaj:2", "rmaj:5"], (), 5), (["rmaj:9", "des"], (), 5), (["rmaj:2"], (2,), None),
+    ])
+    def test_a_profile_stops_at_the_largest_r(self, monkeypatch, names, rest, length):
+        """Several r below n share one profile up to the largest, one r is
+        rawlings(w, r), and once some r >= n the profiles are whole."""
+        expected = joint_distribution(all_permutations(5), names)
+        calls = self.rawlings_calls(monkeypatch)
+        assert joint_distribution(all_permutations(5), names) == expected
+        assert [r for r, _ in calls] == [rest] * 120
+        if length:
+            assert {len(value) for _, value in calls} == {length}
+
+    @pytest.mark.parametrize("names, rest", [(["rmaj:2"], (2,)), (["rmaj:3", "rmaj:2"], (None, 3))])
+    def test_a_long_word_costs_o_n_r(self, monkeypatch, names, rest):
+        w = list(range(1, 5001))
+        random.Random(5000).shuffle(w)
+        w = tuple(w)
+        expected = {tuple(stats.rawlings(w, int(name[5:])) for name in names): 1}
+        calls = self.rawlings_calls(monkeypatch)
+        assert joint_distribution([w], names) == expected
+        assert [r for r, _ in calls] == [rest]
 
     @pytest.mark.parametrize(
         "name, error",
@@ -343,6 +396,18 @@ class TestMemo:
         assert verify_suite(6)["passed"]
         perms = sum(math.factorial(n) for n in range(7))
         assert perms == 874 and calls == {"mix": perms, "das": perms}
+
+    @pytest.mark.parametrize("suite, calls", [("all", 922), ("kratt", 197)])
+    def test_avoiders_read_psi_off_the_psi_column(self, monkeypatch, suite, calls):
+        """Under all, psi of a 321-avoider is read off the psi column that
+        the psi claims read first; kratt alone runs psi on the avoiders."""
+        counted = []
+        real = bijections.psi
+        monkeypatch.setattr(bijections, "psi", lambda p: counted.append(p) or real(p))
+        report = verify_suite(6, suite)
+        avoiders = sum(equidist._catalan(n) for n in range(7))
+        assert report["passed"] and len(counted) == calls and avoiders == 197
+        assert report["values"]["avoider321.psi"]["objects"] == avoiders
 
     def test_no_value_outlives_a_run(self, monkeypatch):
         # theorem1 reads aid through the memo alone; the lemma suites would

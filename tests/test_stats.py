@@ -358,6 +358,26 @@ class TestRawlings:
         with pytest.raises(InvalidR):
             stats.rawlings(p, 0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 9])
+    def test_profile_up_to_k(self, k):
+        """rawlings(p, None, k) is the profile cut at min(k, n): below n,
+        at or above it, and on the empty word."""
+        for n in range(7):
+            for p in all_perms(n):
+                expected = tuple(oracle_rmaj(p, r) for r in range(1, min(k, n) + 1))
+                assert stats.rawlings(p, None, k) == expected
+
+    @pytest.mark.parametrize("p", [(0, 1), (1, 1), (1.0, 2.0)])
+    def test_profile_up_to_k_on_a_word(self, p):
+        with pytest.raises(WordNotPermutation) as err:
+            stats.rawlings(p, None, 2)
+        assert err.value.name == "rmaj"
+
+    @pytest.mark.parametrize("k", [0, -1, True, 2.5])
+    def test_invalid_k(self, k):
+        with pytest.raises(InvalidR):
+            stats.rawlings((2, 1), None, k)
+
     @pytest.mark.parametrize("r", [True, False, 2.5, "2"])
     def test_r_that_is_not_an_integer(self, r):
         with pytest.raises(InvalidR, match="integer"):
