@@ -26,6 +26,14 @@ def _names(text: str) -> list[str]:
     return names
 
 
+def _size(text: str) -> int:
+    """A size --n in ASCII digits, after a "-" that the size check refuses."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"n={text!r} is not a non-negative integer")
+    return int(text)
+
+
 def cmd_stats(args) -> int:
     word = parse_word(args.perm)
     if args.names is not None:
@@ -143,13 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(func=cmd_map)
 
     p_verify = sub.add_parser("verify", help="run the exhaustive verification suites")
-    p_verify.add_argument("--n", type=int, default=8, help="largest permutation size")
+    p_verify.add_argument("--n", type=_size, default=8, help="largest permutation size")
     p_verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
     p_verify.add_argument("--format", choices=FORMATS, default="plain")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="joint distribution table over S_n")
-    p_table.add_argument("--n", type=int, required=True)
+    p_table.add_argument("--n", type=_size, required=True)
     p_table.add_argument("--stats", required=True, help="comma-separated statistic names")
     p_table.add_argument("--source", choices=sorted(_SOURCES), default="all")
     p_table.add_argument("--format", choices=FORMATS + ("csv",), default="plain")

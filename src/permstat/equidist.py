@@ -9,7 +9,9 @@ Every claim is a record in CLAIMS. One engine runs them, once over
 S_0..S_n and once over the lemma words: for each size it enumerates the
 objects once, in chunks, and feeds every selected claim from columns of
 the chunk's values, each computed on first use. Over S_n, a Memo computes
-a statistic read under phi or psi once per permutation, by rank.
+a statistic read under phi or psi once per permutation, by rank, and holds
+psi as a map of ranks, from which the involution claim is decided once
+per size.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import sys
 import time
 from array import array
 from collections import Counter
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections, stats
@@ -40,7 +42,8 @@ _ALPHABET_TEXT = f"{{{LEMMA_ALPHABET[0]}..{LEMMA_ALPHABET[-1]}}}"
 
 def size_cap() -> int:
     raw = os.environ.get("PERMSTAT_NMAX", str(DEFAULT_CAP))
-    if not raw.strip().isdecimal():
+    digits = raw.strip()
+    if not (digits.isascii() and digits.isdigit()):
         raise InvalidSize(f"PERMSTAT_NMAX={raw!r} is not a non-negative integer")
     return int(raw)
 
@@ -104,14 +107,15 @@ _INSERTED = {f"{ins}{k}": k for ins in "fg" for k in _LETTERS}  # holes where w 
 
 class Memo(dict):
     """Over S_n by lexicographic rank: per statistic n! small ints, -1 until
-    computed, and psi[rank(p)] = rank(psi(p)). A rank adds the Lehmer-code
-    shares of a word's halves (Lehmer, 1960), each packed above the bit set
-    of its letters; the sets add up to {1..n} exactly on S_n."""
+    computed, and psi[rank(p)] = rank(psi(p)) as Columns.store_psi writes
+    it. A rank adds the Lehmer-code shares of a word's halves (Lehmer,
+    1960), each packed above the bit set of its letters; the sets add up
+    to {1..n} exactly on S_n."""
 
     def __init__(self, n: int, names):
         size, h, shift, letters = math.factorial(n), n // 2, n + 2, range(1, n + 1)
         super().__init__((name, array("h", [-1]) * size) for name in names)
-        self.psi = array("i", [-1]) * size
+        self.psi = array("i", [-1]) * (size + 1)  # psi[-1] = -1 past S_n
         head = {w: i * math.factorial(n - h) << shift | sum(1 << x for x in w)
                 for i, w in enumerate(itertools.permutations(letters, h))}
         tail = {w: j << shift | sum(1 << x for x in w)  # j: w's rank on its letters
@@ -124,6 +128,13 @@ class Memo(dict):
         head, tail, h, shift, low, full = self.tables
         totals = [head.get(w[:h], -1) + tail.get(w[h:], -1) for w in words]
         return [t >> shift for t in totals] if all(t & low == full for t in totals) else None
+
+    def unfixed(self) -> Iterator[int]:
+        """The ranks i with psi[psi[i]] != i, in order and streamed: once
+        store_psi has written all of S_n, those of the p with psi(psi(p)) != p."""
+        psi = self.psi
+        images = map(psi.__getitem__, itertools.islice(psi, len(psi) - 1))
+        return itertools.compress(itertools.count(), map(ne, images, itertools.count()))
 
 
 class Columns(dict):
@@ -141,8 +152,7 @@ class Columns(dict):
     them, so "rmaj:r" is one itemgetter over the column of rawlings profiles,
     cut at rmaj:top below that size. avoider321.psi reads psi where it can.
     With a memo the objects are S_n from rank start on, and a statistic it
-    holds, of p, phi(p) or psi(p), is computed only where it is missing;
-    psi.psi is p where the memo has psi(psi(p)) = p.
+    holds, of p, phi(p) or psi(p), is computed only where it is missing.
     """
 
     def __init__(self, objects: list, spent: dict, memo: Memo | None = None, start: int = 0,
@@ -171,29 +181,44 @@ class Columns(dict):
         if name in _INSERTED:
             words = [None if w is None or _INSERTED[name] in w else w for w in words]
         memo, index = self.memo, None  # index: the rows' ranks under image, if memoized
-        if memo is not None and image in self.ranks and (name in memo or key == "psi.psi"):
+        if memo is not None and image in self.ranks and name in memo:
             index = self.ranks[image] = self.ranks[image] or memo.ranks(words)
-            if image == "psi" and index:
-                memo.psi[self.start:self.start + len(index)] = array("i", index)
         holes = words.count(None)
         start = time.perf_counter()
         if image in ("avoider321", "avoider312") and name in self:  # w itself, but for holes
             column = [None if w is None else v for w, v in zip(words, self[name])]
         elif not index:
             column = [None if w is None else fn(w) for w in words] if holes else [*map(fn, words)]
-        elif key == "psi.psi":
-            column = [p if memo.psi[r] == i else fn(q)
-                      for p, q, r, i in zip(self["p"], words, index, itertools.count(self.start))]
         else:
             values = memo[name]
             for w, i in zip(words, index):
                 if values[i] < 0:
                     values[i] = fn(w)
             column = list(map(values.__getitem__, index))
-        objects, seconds = self.spent.get(key, (0, 0.0))
-        self.spent[key] = objects + len(words) - holes, seconds + time.perf_counter() - start
+        _charge(self.spent, key, len(words) - holes, start)
         self[key] = column
         return column
+
+    def store_psi(self) -> None:
+        """Store rank(psi(p)) at rank(p) in the memo for the chunk's rows.
+        Where psi(p) has no rank (only a broken psi makes such a row), the
+        row checks psi(psi(p)) = p directly and stores rank(p) if it holds,
+        -1 if not, so psi[psi[i]] = i exactly where psi(psi(p)) = p. The cost
+        is charged to psi.psi."""
+        images, memo = self["psi"], self.memo
+        start = time.perf_counter()
+        index = self.ranks["psi"] = self.ranks["psi"] or memo.ranks(images)
+        if index is None:
+            index = [(memo.ranks([q]) or [i if bijections.psi(q) == p else -1])[0]
+                     for i, p, q in zip(itertools.count(self.start), self["p"], images)]
+        memo.psi[self.start:self.start + len(index)] = array("i", index)
+        _charge(self.spent, "psi.psi", len(images), start)
+
+
+def _charge(spent: dict, key: str, objects: int, start: float) -> None:
+    """Add objects and the seconds since start to key's cost."""
+    was, seconds = spent.get(key, (0, 0.0))
+    spent[key] = was + objects, seconds + time.perf_counter() - start
 
 
 class Row:
@@ -213,6 +238,20 @@ def _chunks(objects: Iterable[Word]) -> Iterator[list]:
         yield from iter(lambda: list(itertools.islice(run, CHUNK)), [])
 
 
+def _count(counts: Counter, columns: Columns, keys: Keys) -> None:
+    """Count the value tuples of keys over a chunk. One key is counted as
+    plain values, which _keyed turns into 1-tuples."""
+    if len(keys) == 1:
+        counts.update(columns[keys[0]])
+    else:
+        counts.update(zip(*map(columns.__getitem__, keys)) if keys else [()] * len(columns["p"]))
+
+
+def _keyed(counts: Counter, keys: Keys) -> dict:
+    """The count map {value tuple: count} of what _count counted."""
+    return {(v,): c for v, c in counts.items()} if len(keys) == 1 else dict(counts)
+
+
 def joint_distribution(perms: Iterable[Word], names) -> dict[tuple, int]:
     """The joint distribution of the named statistics over perms, any words
     of distinct letters: a count map {value tuple: count}, in O(n r) per
@@ -227,8 +266,8 @@ def joint_distribution(perms: Iterable[Word], names) -> dict[tuple, int]:
         columns = Columns(chunk, {}, top=top)
         if len(rmaj) == 1 and top < len(chunk[0]):  # one r: its own kernel, no profile to share
             columns[rmaj[top]] = [stats.rawlings(w, top) for w in chunk]
-        counts.update(zip(*map(columns.__getitem__, names)) if names else [()] * len(chunk))
-    return dict(counts)
+        _count(counts, columns, names)
+    return _keyed(counts, names)
 
 
 def distributions_equal(a: dict, b: dict) -> tuple[bool, tuple | None]:
@@ -266,6 +305,17 @@ class Tallied(NamedTuple):
     suite: str
     tallies: Callable[[int], tuple]
     conclude: Callable[[int, dict], object]
+    n_min: int = 0
+
+
+class Involution(NamedTuple):
+    """psi(psi(p)) = p on every permutation of each size from n_min, decided
+    when the size ends from the ranks in Memo.psi, by Memo.unfixed. The
+    witness is the first failing permutation in enumeration order, as for
+    Pointwise."""
+
+    label: str
+    suite: str
     n_min: int = 0
 
 
@@ -388,7 +438,7 @@ CLAIMS = (
         v[f"f{k}.aid"] != v["aid"] + len(restrict_below(v["p"], k)) and {"k": k, "word": v["p"]})),
     *_insertion_lemmas("f", "aix", "des"),
     *_insertion_lemmas("g", "pix", "lec"),
-    Pointwise("psi involution", "psi", ("psi.psi",), ("p",)),
+    Involution("psi involution", "psi"),
     Pointwise("psi theorem (das,mix) psi = (des,inv)", "psi", ("psi.das", "psi.mix"),
               ("des", "inv"), n_min=1),
     Pointwise("psi swaps mix and inv", "psi", ("psi.mix", "psi.inv"), ("inv", "mix"), n_min=1),
@@ -424,23 +474,28 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
 
     Returns claim -> (witness, checked), where checked counts the objects
     examined up to the witness, or all of them. Joint distributions stream
-    into per-n count maps, one per distinct tally. Pointwise and Tallied
-    claims run over S_n in lexicographic order, with a Memo per n of the
-    registry statistics they read under phi or psi; nothing but the memo
-    and the count maps outlives a chunk.
+    into per-n count maps, one per distinct tally. Pointwise, Tallied and
+    Involution claims run over S_n in lexicographic order, with a Memo per
+    n of the registry statistics they read under phi or psi, and of psi's
+    ranks while the involution is checked: one pass over those decides it
+    when the size ends. Nothing but the memo and the count maps outlives a
+    chunk.
     """
     found = {c: (None, 0) for c in claims}
     for n in range(n_max + 1):
         live = [c for c in claims
                 if found[c][0] is None and c.n_min <= n <= getattr(c, "n_max", n)]
-        checks = [(c, _check(c)) for c in live if not isinstance(c, Tallied)]
+        checks = [(c, _check(c)) for c in live if isinstance(c, (Pointwise, Lemma))]
         counts = {t: Counter() for c in live if isinstance(c, Tallied) for t in c.tallies(n)}
+        involution = any(isinstance(c, Involution) for c in live)
         keys = {k for c in live if isinstance(c, Pointwise) for k in c.lhs + c.rhs}.union(*counts)
         mapped = {k[4:] for k in keys if k[:4] in ("phi.", "psi.") and k[4:] in stats.REGISTRY}
-        memo = Memo(n, mapped) if mapped or "psi.psi" in keys else None
+        memo = Memo(n, mapped) if mapped or involution else None
         size = 0
         for chunk in _chunks(objects(n) if live else ()):
             columns = Columns(chunk, spent, memo, size)
+            if involution:
+                columns.store_psi()
             for c, fails in checks:
                 if isinstance(c, Pointwise) and all(
                         columns[a] == columns[b] for a, b in zip(c.lhs, c.rhs)):
@@ -453,14 +508,22 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
                         break
             checks = [check for check in checks if found[check[0]][0] is None]
             for keys, tally in counts.items():
-                tally.update(zip(*map(columns.__getitem__, keys)))
+                _count(tally, columns, keys)
             size += len(chunk)
-            if not checks and not counts:
+            if not checks and not counts and not involution:
                 break
-        for c in live:
-            if found[c][0] is None:
-                witness = c.conclude(n, counts) if isinstance(c, Tallied) else None
-                found[c] = (witness, found[c][1] + size)
+        counts = {keys: _keyed(tally, keys) for keys, tally in counts.items()}
+        for c in (c for c in live if found[c][0] is None):
+            witness, examined = None, size
+            if isinstance(c, Tallied):
+                witness = c.conclude(n, counts)
+            elif isinstance(c, Involution):
+                start = time.perf_counter()
+                i = next(memo.unfixed(), None)
+                _charge(spent, "psi.psi", 0, start)
+                if i is not None:
+                    witness, examined = {"perm": next(itertools.islice(objects(n), i, None))}, i + 1
+            found[c] = (witness, found[c][1] + examined)
     return found
 
 

@@ -260,12 +260,19 @@ class TestVerifyCommand:
         assert code == 1 and out == ""
         assert "n=-1" in err
 
-    @pytest.mark.parametrize("raw", ["abc", "-3"])
+    @pytest.mark.parametrize("raw", ["abc", "-3", "٣", "８"])
     def test_malformed_cap_is_usage_error(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("PERMSTAT_NMAX", raw)
         code, out, err = run(capsys, "verify", "--n", "2", "--suite", "psi")
         assert code == 1 and out == ""
         assert f"PERMSTAT_NMAX={raw!r}" in err
+
+    @pytest.mark.parametrize("argv", [("verify", "--suite", "psi"), ("table", "--stats", "des")])
+    @pytest.mark.parametrize("raw", ["٣", "８", "1_1", "+3", "- 3", "3.0", ""])
+    def test_n_is_ascii_digits(self, capsys, argv, raw):
+        code, out, err = run(capsys, *argv, "--n", raw)
+        assert code == 1 and out == ""
+        assert f"n={raw!r} is not a non-negative integer" in err
 
 
 class TestTableCommand:

@@ -71,7 +71,7 @@ class TestEnumeration:
         with pytest.raises(InvalidSize, match="not an integer"):
             verify_suite(n)
 
-    @pytest.mark.parametrize("raw", ["abc", "-3"])
+    @pytest.mark.parametrize("raw", ["abc", "-3", "٣", "８", "+3", "3_0"])
     def test_malformed_cap_names_the_variable(self, monkeypatch, raw):
         monkeypatch.setenv("PERMSTAT_NMAX", raw)
         with pytest.raises(InvalidSize, match="PERMSTAT_NMAX"):
@@ -387,17 +387,62 @@ class TestMemo:
             ("pass", 34, None),
         ]
 
+    PSI_CLAIMS = ("psi involution", "psi theorem (das,mix) psi = (des,inv)",
+                  "psi swaps mix and inv", "psi preserves left-to-right maxima")
+
+    def assert_reports(self, monkeypatch, n, images, psi_claims, kratt_witness=None):
+        """With psi planted to send each key of images to its value, the psi
+        suite reports psi_claims, (status, checked, witness) per claim. Under
+        all, the psi claims report the same, the claim that psi maps
+        321-avoiders onto 312-avoiders reports kratt_witness, where given,
+        and every other claim what it reports with psi unplanted."""
+        fields = itemgetter("status", "checked", "witness")
+        want = {c["claim"]: fields(c) for c in verify_suite(n, "all")["claims"]}
+        want.update(zip(self.PSI_CLAIMS, psi_claims))
+        if kratt_witness is not None:
+            onto = "psi maps 321-avoiders onto 312-avoiders"
+            want[onto] = ("fail", want[onto][1], kratt_witness)
+        real = bijections.psi
+        monkeypatch.setattr(bijections, "psi", lambda p: images.get(p) or real(p))
+        assert [fields(c) for c in verify_suite(n, "psi")["claims"]] == psi_claims
+        assert {c["claim"]: fields(c) for c in verify_suite(n, "all")["claims"]} == want
+
+    @pytest.mark.parametrize("chunk", [1, 7, 32, 256])
+    def test_an_involution_broken_across_chunks(self, monkeypatch, chunk):
+        # psi sends the 101st permutation of S_6 to the 601st, which lies in
+        # a later chunk at every width and which psi does not send back
+        monkeypatch.setattr(equidist, "CHUNK", chunk)
+        perms = list(all_permutations(6))
+        assert perms[100] == (1, 6, 2, 5, 3, 4) and bijections.psi(perms[600]) != perms[100]
+        witness = {"perm": list(perms[100])}
+        self.assert_reports(monkeypatch, 6, {perms[100]: perms[600]}, [
+            ("fail", 255, witness), ("fail", 254, witness),
+            ("fail", 254, witness), ("fail", 255, witness)])
+
+    @pytest.mark.parametrize("back", [False, True])
+    def test_a_psi_image_outside_s_n_gives_the_same_witnesses(self, monkeypatch, back):
+        # psi sends TARGET to a permutation of S_5, which has no rank in S_4;
+        # with back, psi sends that one to TARGET again, so the involution
+        # holds at TARGET and fails at (2, 4, 3, 1), whose image is TARGET
+        outside = (2, 4, 1, 3, 5)
+        images = {TARGET: outside, **({outside: TARGET} if back else {})}
+        witness = {"perm": list(TARGET)}
+        involution = ("fail", 22, {"perm": [2, 4, 3, 1]}) if back else ("fail", 21, witness)
+        self.assert_reports(monkeypatch, 4, images, [
+            involution, ("fail", 20, witness), ("fail", 20, witness), ("fail", 21, witness)],
+            {"n": 4, "missing": [[2, 4, 3, 1]]})
+
     def test_each_statistic_runs_once_per_permutation(self, monkeypatch):
         calls = Counter()
-        for name in ("mix", "das"):
-            real = getattr(stats, name)
-            monkeypatch.setattr(stats, name,
+        for module, name in ((stats, "mix"), (stats, "das"), (bijections, "psi")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda p, name=name, real=real: calls.update([name]) or real(p))
         assert verify_suite(6)["passed"]
         perms = sum(math.factorial(n) for n in range(7))
-        assert perms == 874 and calls == {"mix": perms, "das": perms}
+        assert perms == 874 and calls == {"mix": perms, "das": perms, "psi": perms}
 
-    @pytest.mark.parametrize("suite, calls", [("all", 922), ("kratt", 197)])
+    @pytest.mark.parametrize("suite, calls", [("all", 874), ("kratt", 197)])
     def test_avoiders_read_psi_off_the_psi_column(self, monkeypatch, suite, calls):
         """Under all, psi of a 321-avoider is read off the psi column that
         the psi claims read first; kratt alone runs psi on the avoiders."""
