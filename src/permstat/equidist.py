@@ -68,11 +68,6 @@ def _words(length: int) -> Iterator[Word]:
         yield from itertools.permutations(combo)
 
 
-def lemma_words() -> Iterator[Word]:
-    """All distinct words of length <= LEMMA_MAX_LEN on the lemma alphabet, shortest first."""
-    return itertools.chain.from_iterable(map(_words, range(LEMMA_MAX_LEN + 1)))
-
-
 # -- value columns and joint distributions ----------------------------------------
 
 Keys = tuple[str, ...]
@@ -149,8 +144,9 @@ class Columns(dict):
     image of that row. The functions are looked up on their modules once per
     column. spent maps each key to (objects, seconds), objects counting the
     rows that are not holes. The objects have one size, as _chunks gives
-    them, so "rmaj:r" is one itemgetter over the column of rawlings profiles,
-    cut at rmaj:top below that size. avoider321.psi reads psi where it can.
+    them, so "rmaj:r" is one itemgetter over the column of profiles
+    rawlings(w, None, top): (rmaj:1, ..., rmaj:m), m = min(top, n), whole
+    where top is None. avoider321.psi reads psi where it can.
     With a memo the objects are S_n from rank start on, and a statistic it
     holds, of p, phi(p) or psi(p), is computed only where it is missing.
     """
@@ -176,7 +172,7 @@ class Columns(dict):
             fn = itemgetter(r - 1) if size else len  # the empty word's profile is ()
         else:
             fn = _DERIVED.get(name) or getattr(stats, name, None) or getattr(bijections, name)
-        if name == "rawlings" and self.top is not None and self.top < len(self["p"][0]):
+        if name == "rawlings":
             fn = lambda w, profile=fn, k=self.top: profile(w, None, k)
         if name in _INSERTED:
             words = [None if w is None or _INSERTED[name] in w else w for w in words]
@@ -254,19 +250,16 @@ def _keyed(counts: Counter, keys: Keys) -> dict:
 
 def joint_distribution(perms: Iterable[Word], names) -> dict[tuple, int]:
     """The joint distribution of the named statistics over perms, any words
-    of distinct letters: a count map {value tuple: count}, in O(n r) per
-    word for the largest rmaj:r read."""
+    of distinct letters: a count map {value tuple: count}. Every rmaj:r
+    named is read off one rawlings profile per word, cut at the largest r:
+    O(n r) per word."""
     names = tuple(names)
     for name in names:  # Columns would also read other keys, and rmaj:0 as rmaj:n
         stats.resolve_statistic(name)
-    rmaj = {int(name[5:]): name for name in names if name.startswith("rmaj:")}
-    top = max(rmaj, default=None)
+    top = max((int(name[5:]) for name in names if name.startswith("rmaj:")), default=None)
     counts: Counter = Counter()
     for chunk in _chunks(perms):
-        columns = Columns(chunk, {}, top=top)
-        if len(rmaj) == 1 and top < len(chunk[0]):  # one r: its own kernel, no profile to share
-            columns[rmaj[top]] = [stats.rawlings(w, top) for w in chunk]
-        _count(counts, columns, names)
+        _count(counts, Columns(chunk, {}, top=top), names)
     return _keyed(counts, names)
 
 
@@ -322,8 +315,9 @@ class Involution(NamedTuple):
 class Lemma(NamedTuple):
     """fails(v, k) is falsy for every lemma word of length <= n_max and
     every letter k of _LETTERS outside it, v the row of the word's values;
-    otherwise it is the witness. The witness is the first failing word in
-    lemma_words() order, then its smallest failing k."""
+    otherwise it is the witness: the first failing word, shortest first and
+    each length in _words order (letter sets, then their arrangements, in
+    lexicographic order), then its smallest failing k."""
 
     label: str
     suite: str

@@ -266,7 +266,10 @@ def rawlings(p: Word, r: int | None = None, k: int | None = None) -> int | tuple
     without k: raising r by one moves the pairs of gap exactly r from the
     descent sum to the inversion count (Rawlings, 1981). The inversions of
     gap g, the x with x + g to their left, are one comparison of the inverse
-    with itself shifted by g: O(n r) for one r, O(n m) for the profile."""
+    with itself shifted by g: O(n r) for one r, O(n m) for the profile.
+    r and k are exclusive."""
+    if r is not None and k is not None:
+        raise InvalidR(f"r and k are exclusive, got r={r!r} and k={k!r}")
     top = k if r is None else r
     if top is not None and (isinstance(top, bool) or not isinstance(top, int) or top < 1):
         raise InvalidR(f"r must be an integer >= 1, got {top!r}")

@@ -5,7 +5,8 @@ Each test prints a single "ACCEPT pass|fail <name>" line so a plain
 """
 import csv
 import io
-import itertools
+
+from helpers import all_perms, words_on
 
 from permstat import bijections, stats
 from permstat.cli import main
@@ -13,10 +14,6 @@ from permstat.equidist import distributions_equal, joint_distribution, verify_su
 from test_stats import identity, inv_set_r
 
 N_MAX = 8
-
-
-def all_perms(n):
-    return itertools.permutations(range(1, n + 1))
 
 
 def report(name, ok):
@@ -80,12 +77,10 @@ def test_04_insertion_lemmas():
 
 def test_05_aix_bound():
     ok = True
-    for length in range(6):
-        for combo in itertools.combinations(range(1, 8), length):
-            for w in itertools.permutations(combo):
-                if stats.aix(w) > 1 + stats.pix(w):
-                    ok = False
-                    break
+    for w in words_on(range(1, 8), 5):
+        if stats.aix(w) > 1 + stats.pix(w):
+            ok = False
+            break
     report("aix <= 1 + pix on bounded words", ok)
 
 
@@ -133,13 +128,11 @@ def test_07_hook_factorization_unique():
         return found
 
     ok = True
-    for length in range(7):
-        for combo in itertools.combinations(range(1, 8), length):
-            for w in itertools.permutations(combo):
-                hf = stats.hook_factorization(w)
-                if hf.pi0 + sum(hf.hooks, ()) != w or candidates(w) != [(hf.pi0, hf.hooks)]:
-                    ok = False
-                    break
+    for w in words_on(range(1, 8), 6):
+        hf = stats.hook_factorization(w)
+        if hf.pi0 + sum(hf.hooks, ()) != w or candidates(w) != [(hf.pi0, hf.hooks)]:
+            ok = False
+            break
     report("hook factorization exists, reconstructs, and is unique (words len<=6)", ok)
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from helpers import all_perms, words_on
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
@@ -14,16 +15,6 @@ from permstat.core import (
 )
 from permstat.errors import EmptyWord, LetterCollision, PermstatError
 from test_stats import identity
-
-
-def all_perms(n):
-    return itertools.permutations(range(1, n + 1))
-
-
-def lemma_words(max_len=5, alphabet=range(1, 8)):
-    for length in range(max_len + 1):
-        for combo in itertools.combinations(alphabet, length):
-            yield from itertools.permutations(combo)
 
 
 distinct_words = hyp.lists(
@@ -230,7 +221,7 @@ class TestFInsert:
         assert info.value.letter == 2
 
     def test_output_starts_with_k_and_trace_shape(self):
-        for t in lemma_words(max_len=4):
+        for t in words_on(range(1, 8), 4):
             for k in range(1, 8):
                 if k in t:
                     continue
@@ -241,7 +232,7 @@ class TestFInsert:
                 assert all(rule in ("a", "b") for rule in trace[:-1])
 
     def test_uninsert_round_trip(self):
-        for t in lemma_words(max_len=4):
+        for t in words_on(range(1, 8), 4):
             for k in range(1, 8):
                 if k in t:
                     continue
@@ -332,7 +323,7 @@ class TestTreeAgainstTupleOracle:
 
     def test_lemma_pairs(self):
         # every (k, w) the lemma claims insert: w a lemma word, k in 1..8 outside w
-        for w in equidist.lemma_words():
+        for w in words_on(equidist.LEMMA_ALPHABET, equidist.LEMMA_MAX_LEN):
             for k in range(1, 9):
                 if k in w:
                     continue
@@ -407,7 +398,7 @@ class TestInsertionLemmas:
     """The word-level identities behind the theorem, checked directly."""
 
     def test_aid_increment(self):
-        for t in lemma_words(max_len=4):
+        for t in words_on(range(1, 8), 4):
             for k in range(1, 8):
                 if k in t:
                     continue
@@ -415,7 +406,7 @@ class TestInsertionLemmas:
                 assert stats.aid(q) == stats.aid(t) + len(restrict_below(t, k))
 
     def test_descent_and_aix_transitions(self):
-        for t in lemma_words(max_len=4):
+        for t in words_on(range(1, 8), 4):
             dt, at = stats.des(t), stats.aix(t)
             for k in range(1, 8):
                 if k in t:

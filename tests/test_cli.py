@@ -1,6 +1,5 @@
 import csv
 import io
-import itertools
 import json
 import math
 import subprocess
@@ -9,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from helpers import all_perms
 
 from permstat import stats
 from permstat.cli import main
@@ -321,7 +321,7 @@ class TestTableCommand:
         names = ["rmaj:3", "inv", "rmaj:2", "rmaj:9"]
         counts = Counter(
             (stats.rawlings(p, 3), stats.inv(p), stats.rawlings(p, 2), stats.rawlings(p, 9))
-            for p in itertools.permutations(range(1, 6))
+            for p in all_perms(5)
         )
         rows = sorted(counts.items())
         if fmt == "json":

@@ -1,6 +1,5 @@
-import itertools
-
 import pytest
+from helpers import all_perms
 from hypothesis import given
 from hypothesis import strategies as hyp
 
@@ -52,7 +51,7 @@ class TestInverse:
 
     def test_involution_exhaustive(self):
         for n in range(7):
-            for p in itertools.permutations(range(1, n + 1)):
+            for p in all_perms(n):
                 assert core.inverse(core.inverse(p)) == p
 
 
@@ -83,7 +82,7 @@ class TestLeftToRightMaxima:
 
     def test_against_the_definition(self):
         for n in range(8):
-            for p in itertools.permutations(range(1, n + 1)):
+            for p in all_perms(n):
                 tops = [i for i in range(1, n + 1) if all(p[k] < p[i - 1] for k in range(i - 1))]
                 expected = core.LeftToRightMaxima(tuple(tops), tuple(p[i - 1] for i in tops))
                 assert core.left_to_right_maxima(p) == expected
@@ -104,7 +103,7 @@ class TestLeftToRightMaxima:
 
     def test_permutation_always_has_first_position_and_max_value(self):
         for n in range(1, 7):
-            for p in itertools.permutations(range(1, n + 1)):
+            for p in all_perms(n):
                 lrm = core.left_to_right_maxima(p)
                 assert lrm.positions[0] == 1
                 assert lrm.values[-1] == n

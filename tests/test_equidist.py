@@ -7,6 +7,7 @@ from collections import Counter
 from operator import itemgetter
 
 import pytest
+from helpers import all_perms, words_on
 from test_witnesses import plant_statistic
 
 from permstat import bijections, equidist, stats
@@ -25,6 +26,9 @@ from permstat.errors import (
     UnknownStatistic,
     WordNotPermutation,
 )
+
+#: the words the lemma claims run over
+LEMMA_WORDS = [*words_on(equidist.LEMMA_ALPHABET, equidist.LEMMA_MAX_LEN)]
 
 
 class TestEnumeration:
@@ -95,9 +99,9 @@ class TestJointDistribution:
     def test_rmaj_family_shares_one_profile(self, monkeypatch):
         calls = []
         real = stats.rawlings
-        monkeypatch.setattr(stats, "rawlings", lambda p, r=None: calls.append(r) or real(p, r))
+        monkeypatch.setattr(stats, "rawlings", lambda p, *rest: calls.append(rest) or real(p, *rest))
         dist = joint_distribution(all_permutations(4), ["rmaj:1", "rmaj:2", "rmaj:9"])
-        assert calls == [None] * 24
+        assert calls == [(None, 9)] * 24
         assert dist == joint_distribution(all_permutations(4), ["maj", "rmaj:2", "inv"])
 
     @pytest.mark.parametrize("names", [["rmaj:3", "des", "rmaj:2", "rmaj:9"],
@@ -130,19 +134,20 @@ class TestJointDistribution:
 
     @pytest.mark.parametrize("names, rest, length", [
         (["rmaj:2", "rmaj:3"], (None, 3), 3), (["rmaj:3", "des", "rmaj:1"], (None, 3), 3),
-        (["rmaj:2", "rmaj:5"], (), 5), (["rmaj:9", "des"], (), 5), (["rmaj:2"], (2,), None),
+        (["rmaj:2", "rmaj:5"], (None, 5), 5), (["rmaj:9", "des"], (None, 9), 5),
+        (["rmaj:2"], (None, 2), 2), (["rmaj:2", "rmaj:02"], (None, 2), 2),
     ])
     def test_a_profile_stops_at_the_largest_r(self, monkeypatch, names, rest, length):
-        """Several r below n share one profile up to the largest, one r is
-        rawlings(w, r), and once some r >= n the profiles are whole."""
+        """Every r named, in any spelling, is read off one profile per word
+        that stops at the largest r, or at n once some r >= n."""
         expected = joint_distribution(all_permutations(5), names)
         calls = self.rawlings_calls(monkeypatch)
         assert joint_distribution(all_permutations(5), names) == expected
         assert [r for r, _ in calls] == [rest] * 120
-        if length:
-            assert {len(value) for _, value in calls} == {length}
+        assert {len(value) for _, value in calls} == {length}
 
-    @pytest.mark.parametrize("names, rest", [(["rmaj:2"], (2,)), (["rmaj:3", "rmaj:2"], (None, 3))])
+    @pytest.mark.parametrize("names, rest",
+                             [(["rmaj:2"], (None, 2)), (["rmaj:3", "rmaj:2"], (None, 3))])
     def test_a_long_word_costs_o_n_r(self, monkeypatch, names, rest):
         w = list(range(1, 5001))
         random.Random(5000).shuffle(w)
@@ -241,7 +246,7 @@ class TestVerifySuite:
         perms = sum(math.factorial(n) for n in range(5))
         assert checked["eulerian des~exc"] == perms
         assert checked["theorem1 (ini,aix,des,aid) phi = (ini,pix,lec,inv)"] == perms - 1
-        assert checked["lemma2 aid f(k,t) = aid t + |t<k|"] == len(list(equidist.lemma_words()))
+        assert checked["lemma2 aid f(k,t) = aid t + |t<k|"] == len(LEMMA_WORDS)
 
     def test_schema_3_values(self):
         values = verify_suite(4, "kratt")["values"]
@@ -253,7 +258,7 @@ class TestVerifySuite:
         # f3 is None on the lemma words that have the letter 3, and aid is
         # computed only on the other rows of f3
         f3_aid = verify_suite(0, "lemmas-f")["values"]["f3.aid"]["objects"]
-        assert f3_aid == sum(1 for w in equidist.lemma_words() if 3 not in w)
+        assert f3_aid == sum(1 for w in LEMMA_WORDS if 3 not in w)
 
     def test_pointwise_checked_stops_at_the_witness(self, monkeypatch):
         real = bijections.psi
@@ -331,7 +336,7 @@ class TestOneSizePerChunk:
     is cut wherever the size changes."""
 
     # runs of one size longer and shorter than a chunk of 3, then sizes that alternate
-    WORDS = [*(w for n in (2, 0, 3, 1, 3, 4, 2) for w in itertools.permutations(range(1, n + 1))),
+    WORDS = [*(w for n in (2, 0, 3, 1, 3, 4, 2) for w in all_perms(n)),
              (1,), (2, 1), (), (3, 1, 2, 4), (1, 2), (2, 1), (2, 1, 3), ()]
 
     def test_chunks_hold_one_size_in_order(self, monkeypatch):
@@ -467,7 +472,7 @@ class TestMemo:
         monkeypatch.setattr(equidist, "CHUNK", chunk)
         values = verify_suite(0)["values"]
         for k in range(1, 9):
-            lacking = sum(1 for w in equidist.lemma_words() if k not in w)
+            lacking = sum(1 for w in LEMMA_WORDS if k not in w)
             assert lacking == (1237 if k <= 7 else 3620)
             assert values[f"f{k}"]["objects"] == values[f"f{k}.aid"]["objects"] == lacking
             assert values[f"g{k}"]["objects"] == values[f"g{k}.lec"]["objects"] == lacking
@@ -631,8 +636,8 @@ class TestJointClosedForms:
 
 class TestLemmaDomain:
     def test_lemma_words_are_distinct_and_bounded(self):
-        words = [w for w in equidist.lemma_words() if len(w) <= 3]
-        assert max(map(len, equidist.lemma_words())) == equidist.LEMMA_MAX_LEN
+        words = [w for w in LEMMA_WORDS if len(w) <= 3]
+        assert max(map(len, LEMMA_WORDS)) == equidist.LEMMA_MAX_LEN
         assert len(words) == len(set(words))
         for w in words:
             assert len(w) <= 3

@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
+from helpers import all_perms, words_on
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
@@ -17,18 +18,8 @@ from permstat.errors import (
 PAPER_WORD = (2, 5, 8, 9, 6, 3, 7, 1, 4)
 
 
-def all_perms(n):
-    return itertools.permutations(range(1, n + 1))
-
-
 def identity(n):
     return tuple(range(1, n + 1))
-
-
-def small_words(max_len=5, alphabet=range(1, 7)):
-    for length in range(max_len + 1):
-        for combo in itertools.combinations(alphabet, length):
-            yield from itertools.permutations(combo)
 
 
 # distinct words and permutations of up to 300 letters, the size drawn first
@@ -173,7 +164,7 @@ class TestClassicStats:
         assert stats.des(PAPER_WORD) == 3  # descents at 4 (9>6), 5 (6>3), 7 (7>1)
 
     def test_des_against_oracle(self):
-        for w in small_words():
+        for w in words_on(range(1, 7), 5):
             assert stats.des(w) == len(oracle_des_positions(w))
             assert stats.maj(w) == sum(oracle_des_positions(w))
 
@@ -193,7 +184,7 @@ class TestClassicStats:
             assert stats.inv(tuple(range(n, 0, -1))) == n * (n - 1) // 2
 
     def test_inv_against_oracle(self):
-        for w in small_words():
+        for w in words_on(range(1, 7), 5):
             assert stats.inv(w) == oracle_inv(w)
 
     def test_maj(self):
@@ -232,12 +223,12 @@ class TestAdmissibleInversions:
         assert stats.aid((2, 1, 3)) == 2
 
     def test_against_oracle(self):
-        for w in small_words():
+        for w in words_on(range(1, 7), 5):
             assert stats.ai(w) == oracle_ai(w)
             assert stats.aid(w) == oracle_ai(w) + len(oracle_des_positions(w))
 
     def test_ai_at_most_inv(self):
-        for w in small_words():
+        for w in words_on(range(1, 7), 5):
             assert stats.ai(w) <= stats.inv(w)
 
     def test_no_admissible_inversion_ends_on_final_minimum(self):
@@ -265,7 +256,7 @@ class TestHookFactorization:
         assert stats.pix((3, 2, 1)) == 1
 
     def test_invariants_and_uniqueness(self):
-        for w in small_words(max_len=6, alphabet=range(1, 7)):
+        for w in words_on(range(1, 7), 6):
             hf = stats.hook_factorization(w)
             assert all(hf.pi0[i] <= hf.pi0[i + 1] for i in range(len(hf.pi0) - 1))
             assert all(is_hook(h) for h in hf.hooks)
@@ -286,11 +277,11 @@ class TestAix:
         assert stats.aix((7,)) == 1
 
     def test_against_oracle(self):
-        for w in small_words():
+        for w in words_on(range(1, 7), 5):
             assert stats.aix(w) == oracle_aix(w)
 
     def test_at_most_one_plus_pix(self):
-        for w in small_words(max_len=6, alphabet=range(1, 9)):
+        for w in words_on(range(1, 9), 6):
             assert stats.aix(w) <= 1 + stats.pix(w)
 
 
@@ -377,6 +368,10 @@ class TestRawlings:
     def test_invalid_k(self, k):
         with pytest.raises(InvalidR):
             stats.rawlings((2, 1), None, k)
+
+    def test_r_and_k_are_exclusive(self):
+        with pytest.raises(InvalidR, match="exclusive"):
+            stats.rawlings((2, 3, 1), 1, 3)
 
     @pytest.mark.parametrize("r", [True, False, 2.5, "2"])
     def test_r_that_is_not_an_integer(self, r):
