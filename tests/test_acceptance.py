@@ -182,6 +182,6 @@ def test_10_mix_of_identity():
     report("mix(identity_n) = 0 for n <= 10", ok)
 
 
-def test_full_verification_suite():
-    ok = verify_suite(N_MAX, "all")["passed"]
+def test_full_verification_suite(verify_8):
+    ok = verify_8["n_max"] == N_MAX and verify_8["suite"] == "all" and verify_8["passed"]
     report("verify_suite n<=8: every claim in every suite passes", ok)
