@@ -11,10 +11,14 @@ objects once, in chunks, and feeds every selected claim from columns of
 the chunk's values, each computed on first use. Over S_n, a Memo computes
 a statistic read under phi or psi once per permutation, by rank, and holds
 psi as a map of ranks, from which the involution claim is decided once
-per size.
+per size. A lemma is an expression over the columns, checked over a
+chunk at C level. Over the lemma words, a WordMemo computes a statistic
+once per word and f(k, t) once per pair, keeping the images that lemma 6
+computes for the rows of the next size: about 1.1 MiB at its peak.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -22,12 +26,13 @@ import os
 import sys
 import time
 from array import array
+from bisect import bisect_left
 from collections import Counter
-from operator import itemgetter, ne
+from operator import add, and_, contains, eq, ge, gt, itemgetter, le, ne, not_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections, stats
-from .core import Word, left_to_right_maxima, restrict_below
+from .core import Word, left_to_right_maxima
 from .errors import InvalidSize, SizeCapExceeded, UnknownSuite, WordNotPermutation
 
 DEFAULT_CAP = 10
@@ -132,30 +137,102 @@ class Memo(dict):
         return itertools.compress(itertools.count(), map(ne, images, itertools.count()))
 
 
+class WordMemo(dict):
+    """Over the lemma words of one run, as Memo over S_n: per statistic one
+    small int per word, -1 until computed, by the word's place in the run,
+    read off a dict. The images f(k, t) and k t of a shorter word, k in
+    LEMMA_ALPHABET, are lemma words too, so a statistic runs once per word.
+
+    f(k, t) runs once too: lemma 6 inserts k into t = f(l, sigma), the next
+    size's row whose own f{k} column comes later. A nested column (f5.f3)
+    keeps f(3, t) in ahead, and at the next size f3 takes it out of kept;
+    the rest is dropped a size later. With l = 8, t is no lemma word."""
+
+    def __init__(self, names):
+        words = itertools.chain.from_iterable(map(_words, range(LEMMA_MAX_LEN + 1)))
+        self.index = {w: i for i, w in enumerate(words)}
+        super().__init__((name, array("h", [-1]) * len(self.index)) for name in names)
+        self.kept: dict = {}
+        self.ahead: dict = {}
+
+    def ranks(self, words: list) -> list[int] | None:
+        """The words' places, or None if one is not a lemma word."""
+        ranks = [*map(self.index.get, words)]
+        return None if None in ranks else ranks
+
+    def next_size(self) -> None:
+        self.kept, self.ahead = self.ahead, {}
+
+    def inserting(self, k: int, f: Callable, image: str) -> Callable:
+        """f(k, .) over the column image, kept or taken out as above."""
+        if not image:
+            kept = self.kept.get(k, {})
+            return lambda t: kept.pop(t, None) or f(t)
+        if _INSERTED[image.rpartition(".")[2]] not in LEMMA_ALPHABET:
+            return f
+        keep = self.ahead.setdefault(k, {})
+        return lambda t: keep.setdefault(t, f(t))
+
+
 class Columns(dict):
     """The values the claims read over a chunk of objects: per key a list,
-    row i for object i, computed on first use. "p" is the chunk itself.
+    computed on first use. "p" is the chunk itself.
 
     A key names a value of w ("inv", "psi", "rmaj:2", "f3" is f(3, w), "g3"
     is 3 w, "free" lists the letters of _LETTERS outside w, "avoider321" is
     w if it avoids 321) or of an image ("phi.aid" is aid(phi(w)),
-    "f5.f3.des" is des(f(3, f(5, w)))). f{k} and g{k} are None where w has
-    k, avoider321 and avoider312 where w has the pattern, and so is every
-    image of that row. The functions are looked up on their modules once per
-    column. spent maps each key to (objects, seconds), objects counting the
-    rows that are not holes. The objects have one size, as _chunks gives
-    them, so "rmaj:r" is one itemgetter over the column of profiles
-    rawlings(w, None, top): (rmaj:1, ..., rmaj:m), m = min(top, n), whole
-    where top is None. avoider321.psi reads psi where it can.
-    With a memo the objects are S_n from rank start on, and a statistic it
-    holds, of p, phi(p) or psi(p), is computed only where it is missing.
+    "f5.f3.des" is des(f(3, f(5, w)))). A column has a value per row, but
+    an insertion's only on the rows of its image's where its letter is free
+    (domains maps it to those rows), and so has every column over it.
+    avoider321 and avoider312 are None where w has the pattern, and so is
+    every image of that row. The functions are looked up on their modules
+    once per column. spent maps each key to (objects, seconds), objects
+    counting the values that are not None. The objects have one size, as
+    _chunks gives them, so "rmaj:r" is one itemgetter over the column of
+    profiles rawlings(w, None, top): (rmaj:1, ..., rmaj:m), m = min(top, n),
+    whole where top is None. avoider321.psi reads psi where it can.
+    With a Memo the objects are S_n from rank start on, and a statistic it
+    holds, of p, phi(p) or psi(p), is computed only where it is missing; a
+    WordMemo does the same for lemma words and keeps f{k}'s images.
     """
 
-    def __init__(self, objects: list, spent: dict, memo: Memo | None = None, start: int = 0,
-                 top: int | None = None):
+    def __init__(self, objects: list, spent: dict, memo: Memo | WordMemo | None = None,
+                 start: int = 0, top: int | None = None):
         super().__init__(p=objects)
         self.spent, self.memo, self.start, self.top = spent, memo, start, top
-        self.ranks = {"": range(start, start + len(objects)), "phi": None, "psi": None}
+        self.ranks = {} if isinstance(memo, WordMemo) else {"": range(start, start + len(objects))}
+        self.domains = {"": range(len(objects))}
+        self.chosen: dict = {}
+
+    def domain(self, path: str):
+        """The rows that the column of an image path covers."""
+        while path not in self.domains:
+            path = path.rpartition(".")[0]
+        return self.domains[path]
+
+    def choices(self, over: str) -> list:
+        """(letters, rows) for each choice of the letters an insertion path
+        such as "f{l}.f{k}" names that some row's free letters allow, in
+        order; rows is the domain of the path with the letters put in."""
+        if over not in self.chosen:
+            slots = [({}, "")]  # the letters so far, and the path they make, then "."
+            for part in over.split("."):
+                name = part[part.index("{") + 1:-1]
+                slots = [({**slot, name: x}, f"{path}{part.format(**{name: x})}.")
+                         for slot, path in slots for x in sorted(set().union(*self[path + "free"]))]
+            for slot, path in slots:
+                self[path[:-1]]  # which records the domain
+            self.chosen[over] = [(slot, self.domains[path[:-1]]) for slot, path in slots]
+        return self.chosen[over]
+
+    def at(self, key: str, rows: list) -> Iterator:
+        """key's values on rows, the domain of an insertion path."""
+        column, domain = self[key], self.domain(key.rpartition(".")[0])
+        if domain is rows:
+            return iter(column)
+        if not isinstance(domain, range):  # an insertion's column, read by row
+            column = dict(zip(domain, column))
+        return map(column.__getitem__, rows)
 
     def __missing__(self, key: str) -> list:
         image, _, name = key.rpartition(".")
@@ -175,10 +252,17 @@ class Columns(dict):
         if name == "rawlings":
             fn = lambda w, profile=fn, k=self.top: profile(w, None, k)
         if name in _INSERTED:
-            words = [None if w is None or _INSERTED[name] in w else w for w in words]
+            k = _INSERTED[name]
+            free = [*map(contains, self[key[:-len(name)] + "free"], itertools.repeat(k))]
+            self.domains[key] = [*itertools.compress(self.domain(image), free)]
+            words = [*itertools.compress(words, free)]
+            if isinstance(self.memo, WordMemo) and name[0] == "f":
+                fn = self.memo.inserting(k, fn, image)
         memo, index = self.memo, None  # index: the rows' ranks under image, if memoized
-        if memo is not None and image in self.ranks and name in memo:
-            index = self.ranks[image] = self.ranks[image] or memo.ranks(words)
+        if memo is not None and name in memo:
+            if image not in self.ranks:
+                self.ranks[image] = memo.ranks(words)
+            index = self.ranks[image]
         holes = words.count(None)
         start = time.perf_counter()
         if image in ("avoider321", "avoider312") and name in self:  # w itself, but for holes
@@ -203,7 +287,9 @@ class Columns(dict):
         is charged to psi.psi."""
         images, memo = self["psi"], self.memo
         start = time.perf_counter()
-        index = self.ranks["psi"] = self.ranks["psi"] or memo.ranks(images)
+        if "psi" not in self.ranks:
+            self.ranks["psi"] = memo.ranks(images)
+        index = self.ranks["psi"]
         if index is None:
             index = [(memo.ranks([q]) or [i if bijections.psi(q) == p else -1])[0]
                      for i, p, q in zip(itertools.count(self.start), self["p"], images)]
@@ -215,16 +301,6 @@ def _charge(spent: dict, key: str, objects: int, start: float) -> None:
     """Add objects and the seconds since start to key's cost."""
     was, seconds = spent.get(key, (0, 0.0))
     spent[key] = was + objects, seconds + time.perf_counter() - start
-
-
-class Row:
-    """Row i of a column table, read by key."""
-
-    def __init__(self, columns: Columns, i: int = 0):
-        self.columns, self.i = columns, i
-
-    def __getitem__(self, key: str):
-        return self.columns[key][self.i]
 
 
 def _chunks(objects: Iterable[Word]) -> Iterator[list]:
@@ -287,6 +363,16 @@ class Pointwise(NamedTuple):
     n_min: int = 0
     show_values: bool = False
 
+    def failure(self, columns: Columns) -> tuple | None:
+        """(row, witness) of the chunk's first failing row, or None. A chunk
+        that holds is seen column by column."""
+        if all(columns[a] == columns[b] for a, b in zip(self.lhs, self.rhs)):
+            return None
+        lhs, rhs = ([*zip(*map(columns.__getitem__, keys))] for keys in (self.lhs, self.rhs))
+        i = next(itertools.compress(itertools.count(), map(ne, lhs, rhs)))
+        shown = {"lhs": lhs[i], "rhs": rhs[i]} if self.show_values else {}
+        return i, {"perm": columns["p"][i], **shown}
+
 
 class Tallied(NamedTuple):
     """A claim decided at the end of each size from n_min: conclude(n, counts)
@@ -313,18 +399,91 @@ class Involution(NamedTuple):
 
 
 class Lemma(NamedTuple):
-    """fails(v, k) is falsy for every lemma word of length <= n_max and
-    every letter k of _LETTERS outside it, v the row of the word's values;
-    otherwise it is the witness: the first failing word, shortest first and
-    each length in _words order (letter sets, then their arrangements, in
-    lexicographic order), then its smallest failing k."""
+    """holds is true on every row of the lemma words of length <= n_max: a
+    word p with a choice of the letters that the insertion path over puts
+    in ("f{k}": each k of _LETTERS outside p; "f{l}.f{k}": each l outside p
+    and k outside f(l, p)). holds is a key with the row's letters put in
+    ("f{k}.des" is des(f(k, p))), a letter's name, an int, or (op, *args),
+    op mapped over its arguments' values at C level, over the rows of every
+    choice of a chunk at once; an implication (le, a, b) reads b only on the
+    choices where a holds on some row. The witness is the first failing
+    row: the first word, shortest first and each length in _words order
+    (letter sets, then their arrangements, in lexicographic order), then
+    its smallest letters; shown lists its fields, each a key or keys."""
 
     label: str
     suite: str
-    fails: Callable[[Row, int], object]
+    holds: tuple
+    shown: tuple
+    over: str = "f{k}"
     n_range: str = f"words len<={LEMMA_MAX_LEN} on {_ALPHABET_TEXT}, k<={_LETTERS[-1]}"
     n_max: int = LEMMA_MAX_LEN
     n_min = 0  # not a field: every lemma starts at the empty word
+
+    def failure(self, columns: Columns) -> tuple | None:
+        """(row, witness) of the chunk's first failing row, or None."""
+        slots = columns.choices(self.over)
+
+        def get(key, slots):
+            if key in slots[0][0]:
+                return _flat(itertools.repeat(slot[key], len(rows)) for slot, rows in slots)
+            if "{" not in key:  # a value of the row's word, whatever the letters
+                return map(columns[key].__getitem__, _flat(rows for _, rows in slots))
+            return _flat(columns.at(key.format(**slot), rows) for slot, rows in slots)
+
+        flags = _compiled(self.holds)(get, slots) if slots else ()
+        rows = zip(_flat(rows for _, rows in slots),
+                   _flat(itertools.repeat(j, len(rows)) for j, (_, rows) in enumerate(slots)))
+        first = min(itertools.compress(rows, map(not_, flags)), default=None)
+        if first is None:
+            return None
+        i, slot = first[0], slots[first[1]][0]
+
+        def value(key):
+            if key in slot:
+                return slot[key]
+            key = key.format(**slot)
+            return columns[key][columns.domain(key.rpartition(".")[0]).index(i)]
+
+        return i, {field: tuple(map(value, keys)) if isinstance(keys, tuple) else value(keys)
+                   for field, keys in self.shown}
+
+
+_flat = itertools.chain.from_iterable
+
+
+def _keys(expr) -> Iterator[str]:
+    """The keys a Lemma expression reads."""
+    if isinstance(expr, str):
+        yield expr
+    elif isinstance(expr, tuple):
+        for arg in expr[1:]:
+            yield from _keys(arg)
+
+
+@functools.cache
+def _compiled(expr) -> Callable:
+    """A Lemma expression as a function of (get, slots): its values over the
+    rows of the choices in slots in turn, get(key, slots) giving a key's."""
+    if isinstance(expr, str):
+        return lambda get, slots: get(expr, slots)
+    if isinstance(expr, int):
+        return lambda get, slots: itertools.repeat(expr)
+    op, args = expr[0], [*map(_compiled, expr[1:])]
+    if op is not le:
+        return lambda get, slots: map(op, *[arg(get, slots) for arg in args])
+    premise, then = args
+
+    def implies(get, slots):
+        holds = [*premise(get, slots)]
+        ends = [*itertools.accumulate(len(rows) for _, rows in slots)]
+        live = [any(holds[a:b]) for a, b in zip([0, *ends], ends)]
+        values = then(get, [*itertools.compress(slots, live)]) if any(live) else ()
+        return map(le, holds, _flat(itertools.islice(values, len(rows)) if on else
+                                    itertools.repeat(True, len(rows))
+                                    for (_, rows), on in zip(slots, live)))
+
+    return implies
 
 
 def _equidistributed(label, suite, base: Keys, sides, tag=None, n_min=0) -> Tallied:
@@ -379,34 +538,19 @@ def _insertion_lemmas(ins: str, fixstat: str, eulstat: str) -> tuple[Lemma, ...]
     """Descent-count monotonicity and lemmas 4, 5, 6 for the insertion map
     ins ("f" or "g"): how (eulstat, fixstat) moves as letters are inserted."""
     tag, suite = f"{ins} ({fixstat}, {eulstat})", f"lemmas-{ins}"
-    before = itemgetter(eulstat, fixstat)
-    after = {k: itemgetter(f"{ins}{k}.{eulstat}", f"{ins}{k}.{fixstat}") for k in _LETTERS}
-
-    def monotonicity(v, k):
-        return after[k](v)[0] < v[eulstat] and {"k": k, "word": v["p"]}
-
-    def lemma4(v, k):
-        (et, ft), (eq, fq) = old, new = before(v), after[k](v)
-        return ((eq == et) != (fq == ft + 1) or (eq > et) != (fq == 0)) and {
-            "k": k, "word": v["p"], "before": old, "after": new}
-
-    def lemma5(v, k):
-        return v[fixstat] == 0 and after[k](v) != (v[eulstat], 1) and {
-            "k": k, "word": v["p"], "after": after[k](v)}
-
-    def lemma6(v, l):  # v holds sigma; t = ins(l, sigma), q = ins(k, t)
-        t = f"{ins}{l}."
-        for k in v[t + "free"]:
-            q = f"{t}{ins}{k}."
-            if v[q + fixstat] == 0 and v[q + eulstat] != 1 + after[k](v)[0]:
-                return {"k": k, "l": l, "sigma": v["p"]}
-        return None
-
+    e, f = eulstat, fixstat
+    qe, qf = f"{ins}{{k}}.{e}", f"{ins}{{k}}.{f}"  # of q = ins(k, p)
+    te, tf = f"{ins}{{l}}.{qe}", f"{ins}{{l}}.{qf}"  # of ins(k, ins(l, p))
+    word = ("k", "k"), ("word", "p")
     return (
-        Lemma(f"monotonicity {tag}", suite, monotonicity),
-        Lemma(f"lemma4 {tag}", suite, lemma4),
-        Lemma(f"lemma5 {tag}", suite, lemma5),
-        Lemma(f"lemma6 {tag}", suite, lemma6,
+        Lemma(f"monotonicity {tag}", suite, (ge, qe, e), word, f"{ins}{{k}}"),
+        Lemma(f"lemma4 {tag}", suite,
+              (and_, (eq, (eq, qe, e), (eq, qf, (add, f, 1))), (eq, (gt, qe, e), (eq, qf, 0))),
+              (*word, ("before", (e, f)), ("after", (qe, qf))), f"{ins}{{k}}"),
+        Lemma(f"lemma5 {tag}", suite, (le, (eq, f, 0), (and_, (eq, qe, e), (eq, qf, 1))),
+              (*word, ("after", (qe, qf))), f"{ins}{{k}}"),
+        Lemma(f"lemma6 {tag}", suite, (le, (eq, tf, 0), (eq, te, (add, qe, 1))),
+              (("k", "k"), ("l", "l"), ("sigma", "p")), f"{ins}{{l}}.{ins}{{k}}",
               f"sigma len<={_SIGMA_MAX_LEN} on {_ALPHABET_TEXT}, k,l<={_LETTERS[-1]}",
               _SIGMA_MAX_LEN),
     )
@@ -428,8 +572,9 @@ CLAIMS = (
     Pointwise("lemma3 aid phi = inv", "theorem1", ("phi.aid",), ("inv",)),
     _equidistributed("triple (fix,exc,maj)~(pix,lec,inv)~(aix,des,aid)", "theorem1",
                      ("fix", "exc", "maj"), lambda n: _TRIPLE, tag="tuple"),
-    Lemma("lemma2 aid f(k,t) = aid t + |t<k|", "lemmas-f", lambda v, k: (
-        v[f"f{k}.aid"] != v["aid"] + len(restrict_below(v["p"], k)) and {"k": k, "word": v["p"]})),
+    Lemma("lemma2 aid f(k,t) = aid t + |t<k|", "lemmas-f",  # |t<k| is k's place in sorted(t)
+          (eq, "f{k}.aid", (add, "aid", (bisect_left, (sorted, "p"), "k"))),
+          (("k", "k"), ("word", "p"))),
     *_insertion_lemmas("f", "aix", "des"),
     *_insertion_lemmas("g", "pix", "lec"),
     Involution("psi involution", "psi"),
@@ -451,16 +596,8 @@ CLAIMS = (
 SUITES = tuple(dict.fromkeys(c.suite for c in CLAIMS))
 
 
-def _check(c: Pointwise | Lemma) -> Callable[[Row], object]:
-    """row -> c's witness on the row's object, or a falsy value."""
-    if isinstance(c, Lemma):
-        return lambda row: next(filter(None, (c.fails(row, k) for k in row["free"])), None)
-    lhs, rhs = itemgetter(*c.lhs), itemgetter(*c.rhs)
-    shown = (lambda row: {"lhs": lhs(row), "rhs": rhs(row)}) if c.show_values else (lambda row: {})
-    return lambda row: lhs(row) != rhs(row) and {"perm": row["p"], **shown(row)}
-
-
-def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: dict) -> dict:
+def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: dict,
+         words: WordMemo | None = None) -> dict:
     """Check claims on the objects of sizes 0..n_max, enumerating those of
     each size once, in the order objects(n) yields them, in chunks whose
     columns every claim reads. A claim is checked from its n_min, and up to
@@ -472,35 +609,31 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
     Involution claims run over S_n in lexicographic order, with a Memo per
     n of the registry statistics they read under phi or psi, and of psi's
     ranks while the involution is checked: one pass over those decides it
-    when the size ends. Nothing but the memo and the count maps outlives a
-    chunk.
+    when the size ends. Over the lemma words, words is the one WordMemo of
+    every size. Nothing but the memos and the count maps outlives a chunk.
     """
     found = {c: (None, 0) for c in claims}
     for n in range(n_max + 1):
+        if words is not None:
+            words.next_size()
         live = [c for c in claims
                 if found[c][0] is None and c.n_min <= n <= getattr(c, "n_max", n)]
-        checks = [(c, _check(c)) for c in live if isinstance(c, (Pointwise, Lemma))]
+        checks = [c for c in live if isinstance(c, (Pointwise, Lemma))]
         counts = {t: Counter() for c in live if isinstance(c, Tallied) for t in c.tallies(n)}
         involution = any(isinstance(c, Involution) for c in live)
         keys = {k for c in live if isinstance(c, Pointwise) for k in c.lhs + c.rhs}.union(*counts)
         mapped = {k[4:] for k in keys if k[:4] in ("phi.", "psi.") and k[4:] in stats.REGISTRY}
-        memo = Memo(n, mapped) if mapped or involution else None
+        memo = Memo(n, mapped) if words is None and (mapped or involution) else words
         size = 0
         for chunk in _chunks(objects(n) if live else ()):
             columns = Columns(chunk, spent, memo, size)
             if involution:
                 columns.store_psi()
-            for c, fails in checks:
-                if isinstance(c, Pointwise) and all(
-                        columns[a] == columns[b] for a, b in zip(c.lhs, c.rhs)):
-                    continue  # holds on the whole chunk, compared column by column
-                row = Row(columns)
-                for row.i in range(len(chunk)):
-                    witness = fails(row)
-                    if witness:
-                        found[c] = (witness, found[c][1] + size + row.i + 1)
-                        break
-            checks = [check for check in checks if found[check[0]][0] is None]
+            for c in checks:
+                failed = c.failure(columns)
+                if failed:
+                    found[c] = (failed[1], found[c][1] + size + failed[0] + 1)
+            checks = [c for c in checks if found[c][0] is None]
             for keys, tally in counts.items():
                 _count(tally, columns, keys)
             size += len(chunk)
@@ -535,7 +668,10 @@ def verify_suite(n_max: int, suite: str = "all") -> dict:
     claims = [c for c in CLAIMS if suite in ("all", c.suite)]
     spent: dict[str, tuple] = {}
     found = _run([c for c in claims if not isinstance(c, Lemma)], n_max, all_permutations, spent)
-    found |= _run([c for c in claims if isinstance(c, Lemma)], LEMMA_MAX_LEN, _words, spent)
+    lemmas = [c for c in claims if isinstance(c, Lemma)]
+    names = {key.rpartition(".")[2] for c in lemmas for key in _keys(c.holds)}
+    memo = WordMemo(names & stats.REGISTRY.keys()) if lemmas else None
+    found |= _run(lemmas, LEMMA_MAX_LEN, _words, spent, memo)
     claims = [
         {"claim": c.label, "status": "pass" if witness is None and checked > 0 else "fail",
          "n_range": getattr(c, "n_range", f"n<={n_max}"),

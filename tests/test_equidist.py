@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from operator import itemgetter
 
@@ -466,6 +467,36 @@ class TestMemo:
         wrong = next(q for q in itertools.permutations(TARGET) if stats.aid(q) != stats.aid(TARGET))
         plant_statistic(monkeypatch, "aid", {TARGET: wrong})
         assert not verify_suite(5, "theorem1")["passed"]
+        # nor does an insertion that the lemma run keeps for the next size
+        monkeypatch.undo()
+        verify_suite(0)
+        real = bijections.f_insert
+        wrong = (TARGET[1], TARGET[0], *TARGET[2:])
+        monkeypatch.setattr(bijections, "f_insert",
+                            lambda k, t: real(k, wrong if (k, t) == (5, TARGET) else t))
+        assert not verify_suite(0, "lemmas-f")["passed"]
+
+    def test_each_insertion_runs_once(self, monkeypatch):
+        """verify_suite(0) calls f_insert once per distinct (k, t): lemma 6's
+        f(k, f(l, sigma)) is row f(l, sigma)'s own f(k, .) at the next size."""
+        calls = []
+        real = bijections.f_insert
+        monkeypatch.setattr(bijections, "f_insert", lambda k, t: calls.append((k, t)) or real(k, t))
+        verify_suite(0)
+        assert len(calls) == len(set(calls)) == 15898
+
+    def test_the_lemma_run_holds_little(self):
+        """What outlives a chunk of the lemma run (the word memo and the
+        insertions kept for the next size) stays small: a bound on the
+        traced peak of one run, after a first run has warmed every cache."""
+        verify_suite(0)
+        tracemalloc.start()
+        try:
+            verify_suite(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
     @pytest.mark.parametrize("chunk", [32, 256])
     def test_an_insertion_counts_the_words_that_lack_its_letter(self, monkeypatch, chunk):
