@@ -60,11 +60,6 @@ def inverse(p: Word) -> Word:
     return tuple(q)
 
 
-def restrict_below(w: Word, k: int) -> Word:
-    """Subsequence of letters < k, order preserved."""
-    return tuple(x for x in w if x < k)
-
-
 def left_to_right_maxima(w: Word) -> LeftToRightMaxima:
     """Positions i with w(i) > w(j) for all j < i, and their values."""
     positions: list[int] = []

@@ -11,10 +11,11 @@ objects once, in chunks, and feeds every selected claim from columns of
 the chunk's values, each computed on first use. Over S_n, a Memo computes
 a statistic read under phi or psi once per permutation, by rank, and holds
 psi as a map of ranks, from which the involution claim is decided once
-per size. A lemma is an expression over the columns, checked over a
-chunk at C level. Over the lemma words, a WordMemo computes a statistic
-once per word and f(k, t) once per pair, keeping the images that lemma 6
-computes for the rows of the next size: about 1.1 MiB at its peak.
+per size. A lemma is an expression over the columns, checked at C level
+one choice of inserted letters at a time. Over the lemma words, a WordMemo
+computes a registry statistic once per word and f(k, t) once per pair,
+keeping the images that lemma 6 computes until the rows of the next size
+take them out.
 """
 from __future__ import annotations
 
@@ -138,40 +139,36 @@ class Memo(dict):
 
 
 class WordMemo(dict):
-    """Over the lemma words of one run, as Memo over S_n: per statistic one
-    small int per word, -1 until computed, by the word's place in the run,
-    read off a dict. The images f(k, t) and k t of a shorter word, k in
-    LEMMA_ALPHABET, are lemma words too, so a statistic runs once per word.
+    """Over the lemma words of one run, as Memo over S_n: per REGISTRY
+    statistic one small int per word, -1 until computed, by the word's place
+    in the run, read off a dict. The images f(k, t) and k t of a shorter
+    word, k in LEMMA_ALPHABET, are lemma words too, so a statistic runs once
+    per word.
 
     f(k, t) runs once too: lemma 6 inserts k into t = f(l, sigma), the next
     size's row whose own f{k} column comes later. A nested column (f5.f3)
-    keeps f(3, t) in ahead, and at the next size f3 takes it out of kept;
-    the rest is dropped a size later. With l = 8, t is no lemma word."""
+    keeps f(3, t) in kept[3], and at the next size row t's f3 column takes
+    it out. With l = 8, t is no lemma word, and nothing is kept."""
 
-    def __init__(self, names):
+    def __init__(self):
         words = itertools.chain.from_iterable(map(_words, range(LEMMA_MAX_LEN + 1)))
         self.index = {w: i for i, w in enumerate(words)}
-        super().__init__((name, array("h", [-1]) * len(self.index)) for name in names)
-        self.kept: dict = {}
-        self.ahead: dict = {}
+        super().__init__((name, array("h", [-1]) * len(self.index)) for name in stats.REGISTRY)
+        self.kept: dict = {k: {} for k in _LETTERS}
 
     def ranks(self, words: list) -> list[int] | None:
         """The words' places, or None if one is not a lemma word."""
         ranks = [*map(self.index.get, words)]
         return None if None in ranks else ranks
 
-    def next_size(self) -> None:
-        self.kept, self.ahead = self.ahead, {}
-
     def inserting(self, k: int, f: Callable, image: str) -> Callable:
         """f(k, .) over the column image, kept or taken out as above."""
+        kept = self.kept[k]
         if not image:
-            kept = self.kept.get(k, {})
             return lambda t: kept.pop(t, None) or f(t)
         if _INSERTED[image.rpartition(".")[2]] not in LEMMA_ALPHABET:
             return f
-        keep = self.ahead.setdefault(k, {})
-        return lambda t: keep.setdefault(t, f(t))
+        return lambda t: kept.setdefault(t, f(t))
 
 
 class Columns(dict):
@@ -183,14 +180,15 @@ class Columns(dict):
     w if it avoids 321) or of an image ("phi.aid" is aid(phi(w)),
     "f5.f3.des" is des(f(3, f(5, w)))). A column has a value per row, but
     an insertion's only on the rows of its image's where its letter is free
-    (domains maps it to those rows), and so has every column over it.
-    avoider321 and avoider312 are None where w has the pattern, and so is
-    every image of that row. The functions are looked up on their modules
-    once per column. spent maps each key to (objects, seconds), objects
-    counting the values that are not None. The objects have one size, as
-    _chunks gives them, so "rmaj:r" is one itemgetter over the column of
-    profiles rawlings(w, None, top): (rmaj:1, ..., rmaj:m), m = min(top, n),
-    whole where top is None. avoider321.psi reads psi where it can.
+    (domains maps it to those rows), and so has every column over it; at
+    reads a column on such rows. avoider321 and avoider312 are None where
+    w has the pattern, and so is every image of that row. The functions
+    are looked up on their modules once per column. spent maps each key to
+    (objects, seconds), objects counting the values that are not None. The
+    objects have one size, as _chunks gives them, so "rmaj:r" is one
+    itemgetter over the column of profiles rawlings(w, None, top): (rmaj:1,
+    ..., rmaj:m), m = min(top, n), whole where top is None. avoider321.psi
+    reads psi where it can.
     With a Memo the objects are S_n from rank start on, and a statistic it
     holds, of p, phi(p) or psi(p), is computed only where it is missing; a
     WordMemo does the same for lemma words and keeps f{k}'s images.
@@ -203,12 +201,6 @@ class Columns(dict):
         self.ranks = {} if isinstance(memo, WordMemo) else {"": range(start, start + len(objects))}
         self.domains = {"": range(len(objects))}
         self.chosen: dict = {}
-
-    def domain(self, path: str):
-        """The rows that the column of an image path covers."""
-        while path not in self.domains:
-            path = path.rpartition(".")[0]
-        return self.domains[path]
 
     def choices(self, over: str) -> list:
         """(letters, rows) for each choice of the letters an insertion path
@@ -226,8 +218,8 @@ class Columns(dict):
         return self.chosen[over]
 
     def at(self, key: str, rows: list) -> Iterator:
-        """key's values on rows, the domain of an insertion path."""
-        column, domain = self[key], self.domain(key.rpartition(".")[0])
+        """key's values on rows, some of the rows its column covers."""
+        column, domain = self[key], self.domains[key.rpartition(".")[0]]
         if domain is rows:
             return iter(column)
         if not isinstance(domain, range):  # an insertion's column, read by row
@@ -254,7 +246,7 @@ class Columns(dict):
         if name in _INSERTED:
             k = _INSERTED[name]
             free = [*map(contains, self[key[:-len(name)] + "free"], itertools.repeat(k))]
-            self.domains[key] = [*itertools.compress(self.domain(image), free)]
+            self.domains[key] = [*itertools.compress(self.domains[image], free)]
             words = [*itertools.compress(words, free)]
             if isinstance(self.memo, WordMemo) and name[0] == "f":
                 fn = self.memo.inserting(k, fn, image)
@@ -404,12 +396,13 @@ class Lemma(NamedTuple):
     in ("f{k}": each k of _LETTERS outside p; "f{l}.f{k}": each l outside p
     and k outside f(l, p)). holds is a key with the row's letters put in
     ("f{k}.des" is des(f(k, p))), a letter's name, an int, or (op, *args),
-    op mapped over its arguments' values at C level, over the rows of every
-    choice of a chunk at once; an implication (le, a, b) reads b only on the
-    choices where a holds on some row. The witness is the first failing
-    row: the first word, shortest first and each length in _words order
-    (letter sets, then their arrangements, in lexicographic order), then
-    its smallest letters; shown lists its fields, each a key or keys."""
+    op mapped over its arguments' values at C level, over the rows of one
+    choice of a chunk at a time; an implication (le, a, b) reads b on a
+    choice only where a holds on one of its rows. The witness is the
+    smallest failing (row, choice): the first word, shortest first and each
+    length in _words order (letter sets, then their arrangements, in
+    lexicographic order), then its smallest letters; shown lists its
+    fields, each a key or keys."""
 
     label: str
     suite: str
@@ -422,66 +415,40 @@ class Lemma(NamedTuple):
 
     def failure(self, columns: Columns) -> tuple | None:
         """(row, witness) of the chunk's first failing row, or None."""
-        slots = columns.choices(self.over)
 
-        def get(key, slots):
-            if key in slots[0][0]:
-                return _flat(itertools.repeat(slot[key], len(rows)) for slot, rows in slots)
-            if "{" not in key:  # a value of the row's word, whatever the letters
-                return map(columns[key].__getitem__, _flat(rows for _, rows in slots))
-            return _flat(columns.at(key.format(**slot), rows) for slot, rows in slots)
+        def get(slot, rows):  # a key's values on the rows of one choice
+            return lambda key: (itertools.repeat(slot[key], len(rows)) if key in slot
+                                else columns.at(key.format(**slot), rows))
 
-        flags = _compiled(self.holds)(get, slots) if slots else ()
-        rows = zip(_flat(rows for _, rows in slots),
-                   _flat(itertools.repeat(j, len(rows)) for j, (_, rows) in enumerate(slots)))
-        first = min(itertools.compress(rows, map(not_, flags)), default=None)
+        first, check = None, _compiled(self.holds)
+        for slot, rows in columns.choices(self.over):
+            i = next(itertools.compress(rows, map(not_, check(get(slot, rows)))), None)
+            if i is not None and (first is None or i < first[0]):
+                first = i, slot
         if first is None:
             return None
-        i, slot = first[0], slots[first[1]][0]
-
-        def value(key):
-            if key in slot:
-                return slot[key]
-            key = key.format(**slot)
-            return columns[key][columns.domain(key.rpartition(".")[0]).index(i)]
-
-        return i, {field: tuple(map(value, keys)) if isinstance(keys, tuple) else value(keys)
-                   for field, keys in self.shown}
-
-
-_flat = itertools.chain.from_iterable
-
-
-def _keys(expr) -> Iterator[str]:
-    """The keys a Lemma expression reads."""
-    if isinstance(expr, str):
-        yield expr
-    elif isinstance(expr, tuple):
-        for arg in expr[1:]:
-            yield from _keys(arg)
+        i, slot = first
+        value = get(slot, [i])
+        return i, {field: tuple(next(value(k)) for k in keys) if isinstance(keys, tuple)
+                   else next(value(keys)) for field, keys in self.shown}
 
 
 @functools.cache
 def _compiled(expr) -> Callable:
-    """A Lemma expression as a function of (get, slots): its values over the
-    rows of the choices in slots in turn, get(key, slots) giving a key's."""
+    """A Lemma expression as a function of get, which gives a key's values
+    over the rows of one choice of letters."""
     if isinstance(expr, str):
-        return lambda get, slots: get(expr, slots)
+        return lambda get: get(expr)
     if isinstance(expr, int):
-        return lambda get, slots: itertools.repeat(expr)
+        return lambda get: itertools.repeat(expr)
     op, args = expr[0], [*map(_compiled, expr[1:])]
     if op is not le:
-        return lambda get, slots: map(op, *[arg(get, slots) for arg in args])
+        return lambda get: map(op, *[arg(get) for arg in args])
     premise, then = args
 
-    def implies(get, slots):
-        holds = [*premise(get, slots)]
-        ends = [*itertools.accumulate(len(rows) for _, rows in slots)]
-        live = [any(holds[a:b]) for a, b in zip([0, *ends], ends)]
-        values = then(get, [*itertools.compress(slots, live)]) if any(live) else ()
-        return map(le, holds, _flat(itertools.islice(values, len(rows)) if on else
-                                    itertools.repeat(True, len(rows))
-                                    for (_, rows), on in zip(slots, live)))
+    def implies(get):
+        holds = [*premise(get)]
+        return map(le, holds, then(get)) if any(holds) else map(not_, holds)
 
     return implies
 
@@ -614,8 +581,6 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
     """
     found = {c: (None, 0) for c in claims}
     for n in range(n_max + 1):
-        if words is not None:
-            words.next_size()
         live = [c for c in claims
                 if found[c][0] is None and c.n_min <= n <= getattr(c, "n_max", n)]
         checks = [c for c in live if isinstance(c, (Pointwise, Lemma))]
@@ -669,9 +634,7 @@ def verify_suite(n_max: int, suite: str = "all") -> dict:
     spent: dict[str, tuple] = {}
     found = _run([c for c in claims if not isinstance(c, Lemma)], n_max, all_permutations, spent)
     lemmas = [c for c in claims if isinstance(c, Lemma)]
-    names = {key.rpartition(".")[2] for c in lemmas for key in _keys(c.holds)}
-    memo = WordMemo(names & stats.REGISTRY.keys()) if lemmas else None
-    found |= _run(lemmas, LEMMA_MAX_LEN, _words, spent, memo)
+    found |= _run(lemmas, LEMMA_MAX_LEN, _words, spent, WordMemo() if lemmas else None)
     claims = [
         {"claim": c.label, "status": "pass" if witness is None and checked > 0 else "fail",
          "n_range": getattr(c, "n_range", f"n<={n_max}"),

@@ -10,7 +10,6 @@ from permstat import bijections, equidist, stats
 from permstat.core import (
     complement_subword_on,
     left_to_right_maxima,
-    restrict_below,
     split_at_min,
 )
 from permstat.errors import EmptyWord, LetterCollision, PermstatError
@@ -403,7 +402,7 @@ class TestInsertionLemmas:
                 if k in t:
                     continue
                 q, _ = bijections.f_insert(k, t)
-                assert stats.aid(q) == stats.aid(t) + len(restrict_below(t, k))
+                assert stats.aid(q) == stats.aid(t) + sum(x < k for x in t)
 
     def test_descent_and_aix_transitions(self):
         for t in words_on(range(1, 8), 4):

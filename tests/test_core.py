@@ -55,20 +55,6 @@ class TestInverse:
                 assert core.inverse(core.inverse(p)) == p
 
 
-class TestSubwords:
-    def test_restrict_below(self):
-        assert core.restrict_below((3, 1, 2), 3) == (1, 2)
-        assert core.restrict_below((3, 2, 1), 1) == ()
-        assert core.restrict_below((3, 2, 1), 10) == (3, 2, 1)
-
-    @given(distinct_words(), hyp.integers(min_value=0, max_value=10))
-    def test_restriction_interleave_reconstructs(self, w, k):
-        below = iter(core.restrict_below(w, k))
-        rest = iter(x for x in w if x >= k)
-        rebuilt = tuple(next(below) if x < k else next(rest) for x in w)
-        assert rebuilt == w
-
-
 class TestLeftToRightMaxima:
     def test_examples(self):
         assert core.left_to_right_maxima((3, 1, 2)) == core.LeftToRightMaxima((1,), (3,))

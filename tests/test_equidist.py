@@ -485,18 +485,41 @@ class TestMemo:
         verify_suite(0)
         assert len(calls) == len(set(calls)) == 15898
 
-    def test_the_lemma_run_holds_little(self):
+    def test_a_clean_run_keeps_no_image(self, monkeypatch):
+        """Every image a nested column keeps is taken out by its row's own
+        f{k} column at the next size."""
+        memos = []
+
+        class Recorded(equidist.WordMemo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        monkeypatch.setattr(equidist, "WordMemo", Recorded)
+        assert lemmas_pass(verify_suite(0))
+        assert len(memos) == 1 and set(memos[0].kept) == set(range(1, 9))
+        assert not any(memos[0].kept.values())
+
+    def test_the_lemma_run_holds_little(self, monkeypatch):
         """What outlives a chunk of the lemma run (the word memo and the
         insertions kept for the next size) stays small: a bound on the
-        traced peak of one run, after a first run has warmed every cache."""
-        verify_suite(0)
-        tracemalloc.start()
-        try:
+        traced peak of one run, after a first run has warmed every cache,
+        with f_insert as it is and planted to fail lemmas-f."""
+        real = bijections.f_insert
+        wrong = (TARGET[1], TARGET[0], *TARGET[2:])
+        for planted in (False, True):
+            if planted:
+                monkeypatch.setattr(bijections, "f_insert",
+                                    lambda k, t: real(k, wrong if (k, t) == (5, TARGET) else t))
             verify_suite(0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * 2**20
+            tracemalloc.start()
+            try:
+                report = verify_suite(0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * 2**20
+            assert lemmas_pass(report) is not planted
 
     @pytest.mark.parametrize("chunk", [32, 256])
     def test_an_insertion_counts_the_words_that_lack_its_letter(self, monkeypatch, chunk):
@@ -507,6 +530,11 @@ class TestMemo:
             assert lacking == (1237 if k <= 7 else 3620)
             assert values[f"f{k}"]["objects"] == values[f"f{k}.aid"]["objects"] == lacking
             assert values[f"g{k}"]["objects"] == values[f"g{k}.lec"]["objects"] == lacking
+
+
+def lemmas_pass(report):
+    """Whether every claim of the lemma run passed."""
+    return all(c["status"] == "pass" for c in report["claims"] if "len<=" in c["n_range"])
 
 
 #: a permutation that neither phi nor psi fixes: on (1, 2, 3, 4), which phi
