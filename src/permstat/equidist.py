@@ -11,11 +11,11 @@ objects once, in chunks, and feeds every selected claim from columns of
 the chunk's values, each computed on first use. Over S_n, a Memo computes
 a statistic read under phi or psi once per permutation, by rank, and holds
 psi as a map of ranks, from which the involution claim is decided once
-per size. A lemma is an expression over the columns, checked at C level
-one choice of inserted letters at a time. Over the lemma words, a WordMemo
-computes a registry statistic once per word and f(k, t) once per pair,
-keeping the images that lemma 6 computes until the rows of the next size
-take them out.
+per size. A column of an insertion or an avoider covers the rows of its
+image that pass a test. A lemma is an expression over the columns, checked
+at C level one choice of inserted letters at a time. Over the lemma words,
+a WordMemo computes f(k, t) once per pair, keeping the images that lemma 6
+computes until the rows of the next size take them out.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import time
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from operator import add, and_, contains, eq, ge, gt, itemgetter, le, ne, not_
+from operator import add, and_, eq, ge, gt, itemgetter, le, ne, not_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections, stats
@@ -95,15 +95,20 @@ def _inv2(p: Word) -> int:
 
 #: values a key can name besides rmaj:r and the functions of stats and bijections
 _DERIVED = {
-    "avoider321": lambda w: w if bijections.avoids(w, "321") else None,
-    "avoider312": lambda w: w if bijections.avoids(w, "312") else None,
+    "avoider321": lambda w: w,
+    "avoider312": lambda w: w,
     "|Inv_2|": _inv2,
     "lrmax": left_to_right_maxima,
     **{f"f{k}": lambda w, k=k: bijections.f_insert(k, w)[0] for k in _LETTERS},
     **{f"g{k}": lambda w, k=k: (k,) + w for k in _LETTERS},
-    "free": lambda w: [k for k in _LETTERS if k not in w],
 }
-_INSERTED = {f"{ins}{k}": k for ins in "fg" for k in _LETTERS}  # holes where w has k
+_INSERTED = {f"{ins}{k}": k for ins in "fg" for k in _LETTERS}
+#: the keys whose column covers only the rows of its image where w passes a test
+_DOMAINS = {
+    "avoider321": lambda w: bijections.avoids(w, "321"),
+    "avoider312": lambda w: bijections.avoids(w, "312"),
+    **{name: lambda w, k=k: k not in w for name, k in _INSERTED.items()},
+}
 
 
 class Memo(dict):
@@ -139,31 +144,19 @@ class Memo(dict):
 
 
 class WordMemo(dict):
-    """Over the lemma words of one run, as Memo over S_n: per REGISTRY
-    statistic one small int per word, -1 until computed, by the word's place
-    in the run, read off a dict. The images f(k, t) and k t of a shorter
-    word, k in LEMMA_ALPHABET, are lemma words too, so a statistic runs once
-    per word.
-
-    f(k, t) runs once too: lemma 6 inserts k into t = f(l, sigma), the next
-    size's row whose own f{k} column comes later. A nested column (f5.f3)
-    keeps f(3, t) in kept[3], and at the next size row t's f3 column takes
-    it out. With l = 8, t is no lemma word, and nothing is kept."""
+    """The images f(k, t) of one lemma run, per letter k a dict t -> f(k, t),
+    so that f(k, t) runs once per pair: lemma 6 inserts k into
+    t = f(l, sigma), the next size's row whose own f{k} column comes later.
+    A nested column (f5.f3) keeps f(3, t) in self[3], and at the next size
+    row t's f3 column takes it out. With l = 8, t is no lemma word, and
+    nothing is kept."""
 
     def __init__(self):
-        words = itertools.chain.from_iterable(map(_words, range(LEMMA_MAX_LEN + 1)))
-        self.index = {w: i for i, w in enumerate(words)}
-        super().__init__((name, array("h", [-1]) * len(self.index)) for name in stats.REGISTRY)
-        self.kept: dict = {k: {} for k in _LETTERS}
-
-    def ranks(self, words: list) -> list[int] | None:
-        """The words' places, or None if one is not a lemma word."""
-        ranks = [*map(self.index.get, words)]
-        return None if None in ranks else ranks
+        super().__init__((k, {}) for k in _LETTERS)
 
     def inserting(self, k: int, f: Callable, image: str) -> Callable:
         """f(k, .) over the column image, kept or taken out as above."""
-        kept = self.kept[k]
+        kept = self[k]
         if not image:
             return lambda t: kept.pop(t, None) or f(t)
         if _INSERTED[image.rpartition(".")[2]] not in LEMMA_ALPHABET:
@@ -176,42 +169,46 @@ class Columns(dict):
     computed on first use. "p" is the chunk itself.
 
     A key names a value of w ("inv", "psi", "rmaj:2", "f3" is f(3, w), "g3"
-    is 3 w, "free" lists the letters of _LETTERS outside w, "avoider321" is
-    w if it avoids 321) or of an image ("phi.aid" is aid(phi(w)),
-    "f5.f3.des" is des(f(3, f(5, w)))). A column has a value per row, but
-    an insertion's only on the rows of its image's where its letter is free
-    (domains maps it to those rows), and so has every column over it; at
-    reads a column on such rows. avoider321 and avoider312 are None where
-    w has the pattern, and so is every image of that row. The functions
-    are looked up on their modules once per column. spent maps each key to
-    (objects, seconds), objects counting the values that are not None. The
-    objects have one size, as _chunks gives them, so "rmaj:r" is one
-    itemgetter over the column of profiles rawlings(w, None, top): (rmaj:1,
-    ..., rmaj:m), m = min(top, n), whole where top is None. avoider321.psi
-    reads psi where it can.
+    is 3 w, "avoider321" is w itself) or of an image ("phi.aid" is
+    aid(phi(w)), "f5.f3.des" is des(f(3, f(5, w)))). A column has a value
+    per row of its image, but one named in _DOMAINS only on the rows of its
+    image where w passes the test: an insertion where w lacks its letter,
+    an avoider where w avoids its pattern. domains maps such a column to
+    its rows, and every column over it has the same; at reads a column on
+    such rows. The functions are looked up on their modules once per
+    column. spent maps each key to (objects, seconds), objects counting
+    its rows, seconds the test's too. The objects have one size, as
+    _chunks gives them, so "rmaj:r" is one itemgetter over the column of
+    profiles rawlings(w, None, top): (rmaj:1, ..., rmaj:m), m = min(top,
+    n), whole where top is None. avoider321.psi reads psi where it can.
     With a Memo the objects are S_n from rank start on, and a statistic it
-    holds, of p, phi(p) or psi(p), is computed only where it is missing; a
-    WordMemo does the same for lemma words and keeps f{k}'s images.
+    holds, of p, phi(p) or psi(p), is computed only where it is missing;
+    with a WordMemo f{k} keeps or takes out its images.
     """
 
     def __init__(self, objects: list, spent: dict, memo: Memo | WordMemo | None = None,
                  start: int = 0, top: int | None = None):
         super().__init__(p=objects)
         self.spent, self.memo, self.start, self.top = spent, memo, start, top
-        self.ranks = {} if isinstance(memo, WordMemo) else {"": range(start, start + len(objects))}
+        self.ranks = {"": range(start, start + len(objects))}
         self.domains = {"": range(len(objects))}
         self.chosen: dict = {}
 
+    def lacking(self, image: str) -> list:
+        """The letters of _LETTERS that some word of image lacks, in order."""
+        common = set(_LETTERS).intersection(*self[image or "p"])
+        return [x for x in _LETTERS if x not in common]
+
     def choices(self, over: str) -> list:
         """(letters, rows) for each choice of the letters an insertion path
-        such as "f{l}.f{k}" names that some row's free letters allow, in
-        order; rows is the domain of the path with the letters put in."""
+        such as "f{l}.f{k}" names that some row's word lacks, in order; rows
+        is the domain of the path with the letters put in."""
         if over not in self.chosen:
             slots = [({}, "")]  # the letters so far, and the path they make, then "."
             for part in over.split("."):
                 name = part[part.index("{") + 1:-1]
                 slots = [({**slot, name: x}, f"{path}{part.format(**{name: x})}.")
-                         for slot, path in slots for x in sorted(set().union(*self[path + "free"]))]
+                         for slot, path in slots for x in self.lacking(path[:-1])]
             for slot, path in slots:
                 self[path[:-1]]  # which records the domain
             self.chosen[over] = [(slot, self.domains[path[:-1]]) for slot, path in slots]
@@ -222,7 +219,7 @@ class Columns(dict):
         column, domain = self[key], self.domains[key.rpartition(".")[0]]
         if domain is rows:
             return iter(column)
-        if not isinstance(domain, range):  # an insertion's column, read by row
+        if not isinstance(domain, range):  # a column with a domain, read by row
             column = dict(zip(domain, column))
         return map(column.__getitem__, rows)
 
@@ -236,38 +233,36 @@ class Columns(dict):
         except WordNotPermutation:  # a profile names the family, not rmaj:r
             raise WordNotPermutation(name) from None
         if rmaj:
-            size = len(next((w for w in words if w is not None), ()))
+            size = len(next(iter(words), ()))
             r = size if name == "rmaj:n" else min(int(name[5:]), size)
             fn = itemgetter(r - 1) if size else len  # the empty word's profile is ()
         else:
             fn = _DERIVED.get(name) or getattr(stats, name, None) or getattr(bijections, name)
         if name == "rawlings":
             fn = lambda w, profile=fn, k=self.top: profile(w, None, k)
-        if name in _INSERTED:
-            k = _INSERTED[name]
-            free = [*map(contains, self[key[:-len(name)] + "free"], itertools.repeat(k))]
-            self.domains[key] = [*itertools.compress(self.domains[image], free)]
-            words = [*itertools.compress(words, free)]
-            if isinstance(self.memo, WordMemo) and name[0] == "f":
-                fn = self.memo.inserting(k, fn, image)
         memo, index = self.memo, None  # index: the rows' ranks under image, if memoized
-        if memo is not None and name in memo:
+        if isinstance(memo, Memo) and name in memo:
             if image not in self.ranks:
                 self.ranks[image] = memo.ranks(words)
             index = self.ranks[image]
-        holes = words.count(None)
         start = time.perf_counter()
-        if image in ("avoider321", "avoider312") and name in self:  # w itself, but for holes
-            column = [None if w is None else v for w, v in zip(words, self[name])]
+        if name in _DOMAINS:
+            passes = [*map(_DOMAINS[name], words)]
+            self.domains[key] = [*itertools.compress(self.domains[image], passes)]
+            words = [*itertools.compress(words, passes)]
+            if isinstance(memo, WordMemo) and name[0] == "f":
+                fn = memo.inserting(_INSERTED[name], fn, image)
+        if image in ("avoider321", "avoider312") and name in self:  # p's column, on image's rows
+            column = [*map(self[name].__getitem__, self.domains[image])]
         elif not index:
-            column = [None if w is None else fn(w) for w in words] if holes else [*map(fn, words)]
+            column = [*map(fn, words)]
         else:
             values = memo[name]
             for w, i in zip(words, index):
                 if values[i] < 0:
                     values[i] = fn(w)
             column = list(map(values.__getitem__, index))
-        _charge(self.spent, key, len(words) - holes, start)
+        _charge(self.spent, key, len(words), start)
         self[key] = column
         return column
 
@@ -370,7 +365,7 @@ class Tallied(NamedTuple):
     """A claim decided at the end of each size from n_min: conclude(n, counts)
     returns the witness, or None, from the count maps of tallies(n). A tally
     is a tuple of keys; its count map counts their value tuples over the
-    permutations of one size, with None where a key has a hole."""
+    permutations of one size (of a key's domain, where it has one)."""
 
     label: str
     suite: str
@@ -485,18 +480,13 @@ _AVOID_312 = ("avoider312",)
 _PSI_OF_AVOID_321 = ("avoider321.psi",)
 
 
-def _avoiders(counts: dict, tally: Keys) -> set:
-    """The values a one-key tally counted, but for the holes."""
-    return counts[tally].keys() - {(None,)}
-
-
 def _catalan_sizes(n: int, counts: dict):
-    sizes, catalan = [len(_avoiders(counts, k)) for k in (_AVOID_321, _AVOID_312)], _catalan(n)
+    sizes, catalan = [len(counts[k]) for k in (_AVOID_321, _AVOID_312)], _catalan(n)
     return None if sizes == [catalan] * 2 else {"n": n, "sizes": sizes, "catalan": catalan}
 
 
 def _psi_onto(n: int, counts: dict):
-    image, target = _avoiders(counts, _PSI_OF_AVOID_321), _avoiders(counts, _AVOID_312)
+    image, target = counts[_PSI_OF_AVOID_321].keys(), counts[_AVOID_312].keys()
     missing = [p for p, in sorted(target - image)[:3]]
     return None if image == target else {"n": n, "missing": missing}
 

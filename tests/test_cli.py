@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -409,3 +410,19 @@ def test_import_leaves_dataclasses_out():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
                          capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+@pytest.mark.parametrize("argv, nmax, code", [
+    (["verify", "--n", "3", "--suite", "classic"], None, 0),
+    (["stats", "0"], None, 1),
+    (["verify", "--n", "3"], "2", 2),
+    (["verify", "--n", "0", "--suite", "theorem1"], None, 3),
+])
+def test_the_module_exits_with_mains_code(argv, nmax, code):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("PERMSTAT_NMAX", None)
+    if nmax is not None:
+        env["PERMSTAT_NMAX"] = nmax
+    done = subprocess.run([sys.executable, "-m", "permstat.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == code, done.stderr

@@ -252,12 +252,13 @@ class TestVerifySuite:
     def test_schema_3_values(self):
         values = verify_suite(4, "kratt")["values"]
         assert list(values) == ["avoider321", "avoider312", "avoider321.psi"]
-        assert values["avoider321"]["objects"] == sum(math.factorial(n) for n in range(5))
-        # psi is computed on the 321-avoiders only
-        assert values["avoider321.psi"]["objects"] == sum(equidist._catalan(n) for n in range(5))
+        # the avoiders' columns, and psi over them, hold the 23 avoiders of size <= 4
+        avoiders = sum(equidist._catalan(n) for n in range(5))
+        assert avoiders == 23
+        assert values["avoider321"]["objects"] == values["avoider321.psi"]["objects"] == avoiders
         assert all(set(v) == {"objects", "seconds"} and v["seconds"] >= 0 for v in values.values())
-        # f3 is None on the lemma words that have the letter 3, and aid is
-        # computed only on the other rows of f3
+        # f3 covers the lemma words that lack the letter 3, and aid is
+        # computed only on those rows of f3
         f3_aid = verify_suite(0, "lemmas-f")["values"]["f3.aid"]["objects"]
         assert f3_aid == sum(1 for w in LEMMA_WORDS if 3 not in w)
 
@@ -497,8 +498,8 @@ class TestMemo:
 
         monkeypatch.setattr(equidist, "WordMemo", Recorded)
         assert lemmas_pass(verify_suite(0))
-        assert len(memos) == 1 and set(memos[0].kept) == set(range(1, 9))
-        assert not any(memos[0].kept.values())
+        assert len(memos) == 1 and set(memos[0]) == set(range(1, 9))
+        assert not any(memos[0].values())
 
     def test_the_lemma_run_holds_little(self, monkeypatch):
         """What outlives a chunk of the lemma run (the word memo and the

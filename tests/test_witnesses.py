@@ -136,6 +136,15 @@ def test_lemmas_f_witnesses_under_a_planted_insertion(monkeypatch):
     }
 
 
+def test_lemmas_f_witnesses_under_an_insertion_that_gains_a_letter(monkeypatch):
+    # f(5, 12) = 5312 instead of 521: the image has 3, so lemma 6 must not
+    # insert 3 into it, though sigma = 12 lacks 3
+    plant_insertion(monkeypatch, {(5, (1, 2)): (5, (3, 1, 2))})
+    results = lemma_results("lemmas-f")
+    assert results.pop("lemma2 aid f(k,t) = aid t + |t<k|") == (9, {"k": 5, "word": [1, 2]})
+    assert len(results) == 4 and all(witness is None for _, witness in results.values())
+
+
 def test_lemmas_f_witnesses_under_a_planted_aix(monkeypatch):
     plant_statistic(monkeypatch, "aix", {(2, 7, 1, 5): (2, 5, 7, 1)})
     assert lemma_results("lemmas-f") == {
