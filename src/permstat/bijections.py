@@ -11,15 +11,14 @@ where the rule-a steps of the walk before it end: phi finds by one
 bisection how many of them the next letter shares. On the decreasing word
 the walks of phi take 2n steps in all, not about n^2/4. The surgery
 records nothing: f_insert and phi_with_traces read an insertion's rules off
-the tree first: f_insert reads its image off that walk as slices of the
-word, and a traced fold walks twice and skips no run. psi
+the tree first, so a traced insertion walks twice and skips no run;
+f_insert is one step of phi_with_traces's fold on the tree of t. psi
 composes the mirrors of a chain of letter sets, read off the left-to-right
 maxima, into one relabeling. The tests keep the tuple forms.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
 
 from .core import BELOW, Word
 # bench/tracing.py patches these names until ROADMAP item 1 retargets it
@@ -97,29 +96,25 @@ def _insert(val: list, kids: list[int], first: int) -> None:
                 break
 
 
-def _walk(val: list, kids: list[int], k: int) -> tuple[list[str], list[int]]:
-    """The rules that inserting k would fire and the nodes they fire at,
-    read off the tree without changing it. Rule b would move beta into m's
-    left slot before going on there, so the walk goes on in beta itself.
+def _walk(val: list, kids: list[int], k: int) -> tuple[str, ...]:
+    """The rules that inserting k would fire, read off the tree without
+    changing it. Rule b would move beta into m's left slot before going on
+    there, so the walk goes on in beta itself.
     """
-    rules, nodes = [], []
+    rules = []
     m = kids[1]
     while m and val[m] < k:
-        nodes.append(m)
         alpha, beta = kids[2 * m], kids[2 * m + 1]
         if alpha and not beta:
-            rules.append("c")
-            return rules, nodes
+            return (*rules, "c")
         rules.append("a" if alpha else "b")
         m = alpha or beta
-    rules.append("d" if m else "base")
-    nodes.append(m)
-    return rules, nodes
+    return (*rules, "d" if m else "base")
 
 
 def _traced_insert(val: list, kids: list[int], k: int) -> tuple[str, ...]:
     """Add k to the tree as a new node by the rules of f; return those rules."""
-    rules = tuple(_walk(val, kids, k)[0])
+    rules = _walk(val, kids, k)
     val.append(k)
     kids += (0, 0)
     _insert(val, kids, len(val) - 1)
@@ -194,26 +189,15 @@ def f_insert(k: int, t: Word) -> tuple[Word, tuple[str, ...]]:
     Rules b and c overlap when t is the single letter m; both yield k m, and
     b is the one recorded in the trace.
 
-    The image is read off the walk of the rules down the tree of t, as
-    slices of t: the closing rule's word, then what each a or b step keeps
-    right of the subtree it goes into, innermost first.
+    The image is the word of t's tree after one traced insertion, the
+    step that phi_with_traces folds.
     """
     if k in t:
         raise LetterCollision(k)
     _distinct(t)
-    t = tuple(t)
     val, kids = _tree(t)
-    rules, nodes = _walk(val, kids, k)
-    lo, hi, tails = 0, len(t), []  # node m is t[m - 1], its subtree t[lo:hi]
-    for rule, m in zip(rules, nodes):
-        if rule == "a":  # m beta stays right of f(k, alpha)
-            tails.append(t[m - 1:hi])
-            hi = m - 1
-        elif rule == "b":  # m stays right of f(k, beta)
-            tails.append(t[m - 1:m])
-            lo = m
-    tails.append((k, val[m], *t[lo:m - 1]) if rule == "c" else (k, *t[lo:hi]))
-    return tuple(chain.from_iterable(reversed(tails))), tuple(rules)
+    rules = _traced_insert(val, kids, k)
+    return _word(val, kids), rules
 
 
 def f_uninsert(q: Word) -> tuple[int, Word]:

@@ -67,13 +67,14 @@ def cmd_map(args) -> int:
             trace = [sorted(letters) for letters in bijections.psi_chain(p)]
             lines = ["mirror {" + ",".join(map(str, letters)) + "}" for letters in trace]
         image = bijections.psi(p)
+    elif args.trace:  # the insertions of the fold from the preimage to the image
+        source = bijections.phi_inverse(p) if args.phi_inverse else p
+        folded, traces = bijections.phi_with_traces(source)
+        image = source if args.phi_inverse else folded
+        trace = [list(rules) for rules in traces]
+        lines = [f"insert {k}: {','.join(rules)}" for k, rules in zip(reversed(source), traces)]
     else:
         image = (bijections.phi_inverse if args.phi_inverse else bijections.phi)(p)
-        if args.trace:  # the insertions of the fold from the preimage to the image
-            source = image if args.phi_inverse else p
-            traces = bijections.phi_with_traces(source)[1]
-            trace = [list(rules) for rules in traces]
-            lines = [f"insert {k}: {','.join(rules)}" for k, rules in zip(reversed(source), traces)]
     if args.format == "json":
         out = {"input": format_word(p), "output": format_word(image)}
         if trace is not None:

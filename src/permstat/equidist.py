@@ -12,10 +12,10 @@ the chunk's values, each computed on first use. Over S_n, a Memo computes
 a statistic read under phi or psi once per permutation, by rank, and holds
 psi as a map of ranks, from which the involution claim is decided once
 per size. A column of an insertion or an avoider covers the rows of its
-image that pass a test. A lemma is an expression over the columns, checked
-at C level one choice of inserted letters at a time. Over the lemma words,
-a WordMemo computes f(k, t) once per pair, keeping the images that lemma 6
-computes until the rows of the next size take them out.
+image that pass a test. A row claim is an expression over the columns,
+checked at C level one choice of inserted letters at a time. Over the lemma
+words, a WordMemo computes f(k, t) once per pair, keeping the images that
+lemma 6 computes until the rows of the next size take them out.
 """
 from __future__ import annotations
 
@@ -173,9 +173,9 @@ class Columns(dict):
     aid(phi(w)), "f5.f3.des" is des(f(3, f(5, w)))). A column has a value
     per row of its image, but one named in _DOMAINS only on the rows of its
     image where w passes the test: an insertion where w lacks its letter,
-    an avoider where w avoids its pattern. domains maps such a column to
-    its rows, and every column over it has the same; at reads a column on
-    such rows. The functions are looked up on their modules once per
+    an avoider where w avoids its pattern. domains maps every column to its
+    rows, such a column's own and any other its image's; at reads a column
+    on some of them. The functions are looked up on their modules once per
     column. spent maps each key to (objects, seconds), objects counting
     its rows, seconds the test's too. The objects have one size, as
     _chunks gives them, so "rmaj:r" is one itemgetter over the column of
@@ -192,7 +192,7 @@ class Columns(dict):
         self.spent, self.memo, self.start, self.top = spent, memo, start, top
         self.ranks = {"": range(start, start + len(objects))}
         self.domains = {"": range(len(objects))}
-        self.chosen: dict = {}
+        self.chosen = {"": [({}, self.domains[""])]}  # one choice: the whole chunk
 
     def lacking(self, image: str) -> list:
         """The letters of _LETTERS that some word of image lacks, in order."""
@@ -252,6 +252,7 @@ class Columns(dict):
             words = [*itertools.compress(words, passes)]
             if isinstance(memo, WordMemo) and name[0] == "f":
                 fn = memo.inserting(_INSERTED[name], fn, image)
+        self.domains.setdefault(key, self.domains[image])
         if image in ("avoider321", "avoider312") and name in self:  # p's column, on image's rows
             column = [*map(self[name].__getitem__, self.domains[image])]
         elif not index:
@@ -339,26 +340,47 @@ def distributions_equal(a: dict, b: dict) -> tuple[bool, tuple | None]:
 # -- claims -----------------------------------------------------------------------
 
 class Pointwise(NamedTuple):
-    """lhs = rhs on every permutation of each size from n_min. The witness is
-    the first failing permutation in enumeration order, which is the
-    lexicographically smallest at the smallest failing size."""
+    """holds is true on every row of each size from n_min to n_max: an
+    object p with a choice of the letters that the insertion path over puts
+    in ("f{k}": each k of _LETTERS outside p; "f{l}.f{k}": each l outside p
+    and k outside f(l, p); "": none, one choice that covers the chunk).
+    holds is a key with the row's letters put in ("f{k}.des" is des(f(k,
+    p))), a letter's name, an int, or (op, *args), op mapped over its
+    arguments' values at C level, over the rows of one choice of a chunk at
+    a time; an implication (le, a, b) reads b on a choice only where a
+    holds on one of its rows. The witness is the smallest failing (row,
+    choice): the first object in enumeration order (over S_n the
+    lexicographically smallest at the smallest failing size; a lemma word
+    shortest first, each length in _words order), then its smallest
+    letters; shown lists its fields, each a key or keys."""
 
     label: str
     suite: str
-    lhs: Keys
-    rhs: Keys
+    holds: tuple
+    shown: tuple
+    over: str = ""
     n_min: int = 0
-    show_values: bool = False
+    n_max: int | None = None
+    n_range: str | None = None
 
     def failure(self, columns: Columns) -> tuple | None:
-        """(row, witness) of the chunk's first failing row, or None. A chunk
-        that holds is seen column by column."""
-        if all(columns[a] == columns[b] for a, b in zip(self.lhs, self.rhs)):
+        """(row, witness) of the chunk's first failing row, or None."""
+
+        def get(slot, rows):  # a key's values on the rows of one choice
+            return lambda key: (itertools.repeat(slot[key], len(rows)) if key in slot
+                                else columns.at(key.format(**slot), rows))
+
+        first, check = None, _compiled(self.holds)
+        for slot, rows in columns.choices(self.over):
+            i = next(itertools.compress(rows, map(not_, check(get(slot, rows)))), None)
+            if i is not None and (first is None or i < first[0]):
+                first = i, slot
+        if first is None:
             return None
-        lhs, rhs = ([*zip(*map(columns.__getitem__, keys))] for keys in (self.lhs, self.rhs))
-        i = next(itertools.compress(itertools.count(), map(ne, lhs, rhs)))
-        shown = {"lhs": lhs[i], "rhs": rhs[i]} if self.show_values else {}
-        return i, {"perm": columns["p"][i], **shown}
+        i, slot = first
+        value = get(slot, [i])
+        return i, {field: tuple(next(value(k)) for k in keys) if isinstance(keys, tuple)
+                   else next(value(keys)) for field, keys in self.shown}
 
 
 class Tallied(NamedTuple):
@@ -385,52 +407,9 @@ class Involution(NamedTuple):
     n_min: int = 0
 
 
-class Lemma(NamedTuple):
-    """holds is true on every row of the lemma words of length <= n_max: a
-    word p with a choice of the letters that the insertion path over puts
-    in ("f{k}": each k of _LETTERS outside p; "f{l}.f{k}": each l outside p
-    and k outside f(l, p)). holds is a key with the row's letters put in
-    ("f{k}.des" is des(f(k, p))), a letter's name, an int, or (op, *args),
-    op mapped over its arguments' values at C level, over the rows of one
-    choice of a chunk at a time; an implication (le, a, b) reads b on a
-    choice only where a holds on one of its rows. The witness is the
-    smallest failing (row, choice): the first word, shortest first and each
-    length in _words order (letter sets, then their arrangements, in
-    lexicographic order), then its smallest letters; shown lists its
-    fields, each a key or keys."""
-
-    label: str
-    suite: str
-    holds: tuple
-    shown: tuple
-    over: str = "f{k}"
-    n_range: str = f"words len<={LEMMA_MAX_LEN} on {_ALPHABET_TEXT}, k<={_LETTERS[-1]}"
-    n_max: int = LEMMA_MAX_LEN
-    n_min = 0  # not a field: every lemma starts at the empty word
-
-    def failure(self, columns: Columns) -> tuple | None:
-        """(row, witness) of the chunk's first failing row, or None."""
-
-        def get(slot, rows):  # a key's values on the rows of one choice
-            return lambda key: (itertools.repeat(slot[key], len(rows)) if key in slot
-                                else columns.at(key.format(**slot), rows))
-
-        first, check = None, _compiled(self.holds)
-        for slot, rows in columns.choices(self.over):
-            i = next(itertools.compress(rows, map(not_, check(get(slot, rows)))), None)
-            if i is not None and (first is None or i < first[0]):
-                first = i, slot
-        if first is None:
-            return None
-        i, slot = first
-        value = get(slot, [i])
-        return i, {field: tuple(next(value(k)) for k in keys) if isinstance(keys, tuple)
-                   else next(value(keys)) for field, keys in self.shown}
-
-
 @functools.cache
 def _compiled(expr) -> Callable:
-    """A Lemma expression as a function of get, which gives a key's values
+    """A Pointwise expression as a function of get, which gives a key's values
     over the rows of one choice of letters."""
     if isinstance(expr, str):
         return lambda get: get(expr)
@@ -446,6 +425,12 @@ def _compiled(expr) -> Callable:
         return map(le, holds, then(get)) if any(holds) else map(not_, holds)
 
     return implies
+
+
+def _keys(expr) -> set:
+    """The keys and letter names that an expression reads."""
+    return (set().union(*map(_keys, expr[1:])) if isinstance(expr, tuple)
+            else {expr} if isinstance(expr, str) else set())
 
 
 def _equidistributed(label, suite, base: Keys, sides, tag=None, n_min=0) -> Tallied:
@@ -471,6 +456,14 @@ def _pair(label: str, suite: str, base: Keys, other: Keys) -> Tallied:
     return _equidistributed(label, suite, base, lambda n: ((None, other),))
 
 
+def _equal(label: str, suite: str, lhs: Keys, rhs: Keys, n_min=0, show=False) -> Pointwise:
+    """lhs = rhs, key by key, on every permutation of each size from n_min;
+    with show the witness gives both sides' values."""
+    holds = functools.reduce(lambda a, b: (and_, a, b), [(eq, *ab) for ab in zip(lhs, rhs)])
+    shown = ("perm", "p"), *((("lhs", lhs), ("rhs", rhs)) if show else ())
+    return Pointwise(label, suite, holds, shown, n_min=n_min)
+
+
 def _catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
@@ -491,25 +484,28 @@ def _psi_onto(n: int, counts: dict):
     return None if image == target else {"n": n, "missing": missing}
 
 
-def _insertion_lemmas(ins: str, fixstat: str, eulstat: str) -> tuple[Lemma, ...]:
+_WORDS = f"words len<={LEMMA_MAX_LEN} on {_ALPHABET_TEXT}, k<={_LETTERS[-1]}"
+_SIGMAS = f"sigma len<={_SIGMA_MAX_LEN} on {_ALPHABET_TEXT}, k,l<={_LETTERS[-1]}"
+
+
+def _insertion_lemmas(ins: str, fixstat: str, eulstat: str) -> tuple[Pointwise, ...]:
     """Descent-count monotonicity and lemmas 4, 5, 6 for the insertion map
     ins ("f" or "g"): how (eulstat, fixstat) moves as letters are inserted."""
-    tag, suite = f"{ins} ({fixstat}, {eulstat})", f"lemmas-{ins}"
+    tag, suite, over = f"{ins} ({fixstat}, {eulstat})", f"lemmas-{ins}", f"{ins}{{k}}"
     e, f = eulstat, fixstat
     qe, qf = f"{ins}{{k}}.{e}", f"{ins}{{k}}.{f}"  # of q = ins(k, p)
     te, tf = f"{ins}{{l}}.{qe}", f"{ins}{{l}}.{qf}"  # of ins(k, ins(l, p))
     word = ("k", "k"), ("word", "p")
     return (
-        Lemma(f"monotonicity {tag}", suite, (ge, qe, e), word, f"{ins}{{k}}"),
-        Lemma(f"lemma4 {tag}", suite,
-              (and_, (eq, (eq, qe, e), (eq, qf, (add, f, 1))), (eq, (gt, qe, e), (eq, qf, 0))),
-              (*word, ("before", (e, f)), ("after", (qe, qf))), f"{ins}{{k}}"),
-        Lemma(f"lemma5 {tag}", suite, (le, (eq, f, 0), (and_, (eq, qe, e), (eq, qf, 1))),
-              (*word, ("after", (qe, qf))), f"{ins}{{k}}"),
-        Lemma(f"lemma6 {tag}", suite, (le, (eq, tf, 0), (eq, te, (add, qe, 1))),
-              (("k", "k"), ("l", "l"), ("sigma", "p")), f"{ins}{{l}}.{ins}{{k}}",
-              f"sigma len<={_SIGMA_MAX_LEN} on {_ALPHABET_TEXT}, k,l<={_LETTERS[-1]}",
-              _SIGMA_MAX_LEN),
+        Pointwise(f"monotonicity {tag}", suite, (ge, qe, e), word, over, n_range=_WORDS),
+        Pointwise(f"lemma4 {tag}", suite,
+                  (and_, (eq, (eq, qe, e), (eq, qf, (add, f, 1))), (eq, (gt, qe, e), (eq, qf, 0))),
+                  (*word, ("before", (e, f)), ("after", (qe, qf))), over, n_range=_WORDS),
+        Pointwise(f"lemma5 {tag}", suite, (le, (eq, f, 0), (and_, (eq, qe, e), (eq, qf, 1))),
+                  (*word, ("after", (qe, qf))), over, n_range=_WORDS),
+        Pointwise(f"lemma6 {tag}", suite, (le, (eq, tf, 0), (eq, te, (add, qe, 1))),
+                  (("k", "k"), ("l", "l"), ("sigma", "p")), f"{ins}{{l}}.{over}",
+                  n_max=_SIGMA_MAX_LEN, n_range=_SIGMAS),
     )
 
 
@@ -523,25 +519,25 @@ CLAIMS = (
         "mahonian inv~rmaj:r (all r)", "classic", ("inv",),
         lambda n: [(r, (f"rmaj:{r}",)) for r in range(1, n + 1)], tag="r", n_min=1,
     ),
-    Pointwise("theorem1 (ini,aix,des,aid) phi = (ini,pix,lec,inv)", "theorem1", *_THEOREM1,
-              n_min=1, show_values=True),
-    Pointwise("lemma1 ini phi = ini", "theorem1", ("phi.ini",), ("ini",), n_min=1),
-    Pointwise("lemma3 aid phi = inv", "theorem1", ("phi.aid",), ("inv",)),
+    _equal("theorem1 (ini,aix,des,aid) phi = (ini,pix,lec,inv)", "theorem1", *_THEOREM1,
+           n_min=1, show=True),
+    _equal("lemma1 ini phi = ini", "theorem1", ("phi.ini",), ("ini",), n_min=1),
+    _equal("lemma3 aid phi = inv", "theorem1", ("phi.aid",), ("inv",)),
     _equidistributed("triple (fix,exc,maj)~(pix,lec,inv)~(aix,des,aid)", "theorem1",
                      ("fix", "exc", "maj"), lambda n: _TRIPLE, tag="tuple"),
-    Lemma("lemma2 aid f(k,t) = aid t + |t<k|", "lemmas-f",  # |t<k| is k's place in sorted(t)
-          (eq, "f{k}.aid", (add, "aid", (bisect_left, (sorted, "p"), "k"))),
-          (("k", "k"), ("word", "p"))),
+    Pointwise("lemma2 aid f(k,t) = aid t + |t<k|", "lemmas-f",  # |t<k|: k's place in sorted(t)
+              (eq, "f{k}.aid", (add, "aid", (bisect_left, (sorted, "p"), "k"))),
+              (("k", "k"), ("word", "p")), "f{k}", n_range=_WORDS),
     *_insertion_lemmas("f", "aix", "des"),
     *_insertion_lemmas("g", "pix", "lec"),
     Involution("psi involution", "psi"),
-    Pointwise("psi theorem (das,mix) psi = (des,inv)", "psi", ("psi.das", "psi.mix"),
-              ("des", "inv"), n_min=1),
-    Pointwise("psi swaps mix and inv", "psi", ("psi.mix", "psi.inv"), ("inv", "mix"), n_min=1),
-    Pointwise("psi preserves left-to-right maxima", "psi", ("psi.lrmax",), ("lrmax",)),
-    Pointwise("rmaj:1 = maj", "rawlings", ("rmaj:1",), ("maj",)),
-    Pointwise("rmaj:n = inv", "rawlings", ("rmaj:n",), ("inv",), n_min=1),
-    Pointwise("|Inv_2| = ides", "rawlings", ("|Inv_2|",), ("ides",)),
+    _equal("psi theorem (das,mix) psi = (des,inv)", "psi", ("psi.das", "psi.mix"),
+           ("des", "inv"), n_min=1),
+    _equal("psi swaps mix and inv", "psi", ("psi.mix", "psi.inv"), ("inv", "mix"), n_min=1),
+    _equal("psi preserves left-to-right maxima", "psi", ("psi.lrmax",), ("lrmax",)),
+    _equal("rmaj:1 = maj", "rawlings", ("rmaj:1",), ("maj",)),
+    _equal("rmaj:n = inv", "rawlings", ("rmaj:n",), ("inv",), n_min=1),
+    _equal("|Inv_2| = ides", "rawlings", ("|Inv_2|",), ("ides",)),
     _pair("(ides,rmaj:2)~(exc,maj)", "rawlings", ("ides", "rmaj:2"), ("exc", "maj")),
     Tallied("avoidance classes have Catalan size", "kratt",
             lambda n: (_AVOID_321, _AVOID_312), _catalan_sizes),
@@ -562,21 +558,21 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
 
     Returns claim -> (witness, checked), where checked counts the objects
     examined up to the witness, or all of them. Joint distributions stream
-    into per-n count maps, one per distinct tally. Pointwise, Tallied and
-    Involution claims run over S_n in lexicographic order, with a Memo per
-    n of the registry statistics they read under phi or psi, and of psi's
+    into per-n count maps, one per distinct tally. Over S_n, in
+    lexicographic order, a Memo per n holds the registry statistics that
+    the claims' keys read under phi or psi, and psi's
     ranks while the involution is checked: one pass over those decides it
     when the size ends. Over the lemma words, words is the one WordMemo of
     every size. Nothing but the memos and the count maps outlives a chunk.
     """
     found = {c: (None, 0) for c in claims}
     for n in range(n_max + 1):
-        live = [c for c in claims
-                if found[c][0] is None and c.n_min <= n <= getattr(c, "n_max", n)]
-        checks = [c for c in live if isinstance(c, (Pointwise, Lemma))]
+        live = [c for c in claims if found[c][0] is None and c.n_min <= n
+                and (getattr(c, "n_max", None) is None or n <= c.n_max)]
+        checks = [c for c in live if isinstance(c, Pointwise)]
         counts = {t: Counter() for c in live if isinstance(c, Tallied) for t in c.tallies(n)}
         involution = any(isinstance(c, Involution) for c in live)
-        keys = {k for c in live if isinstance(c, Pointwise) for k in c.lhs + c.rhs}.union(*counts)
+        keys = set().union(*(_keys(c.holds) for c in checks), *counts)
         mapped = {k[4:] for k in keys if k[:4] in ("phi.", "psi.") and k[4:] in stats.REGISTRY}
         memo = Memo(n, mapped) if words is None and (mapped or involution) else words
         size = 0
@@ -622,12 +618,12 @@ def verify_suite(n_max: int, suite: str = "all") -> dict:
     start = time.perf_counter()
     claims = [c for c in CLAIMS if suite in ("all", c.suite)]
     spent: dict[str, tuple] = {}
-    found = _run([c for c in claims if not isinstance(c, Lemma)], n_max, all_permutations, spent)
-    lemmas = [c for c in claims if isinstance(c, Lemma)]
+    lemmas = [c for c in claims if getattr(c, "over", "")]  # the claims that insert letters
+    found = _run([c for c in claims if c not in lemmas], n_max, all_permutations, spent)
     found |= _run(lemmas, LEMMA_MAX_LEN, _words, spent, WordMemo() if lemmas else None)
     claims = [
         {"claim": c.label, "status": "pass" if witness is None and checked > 0 else "fail",
-         "n_range": getattr(c, "n_range", f"n<={n_max}"),
+         "n_range": getattr(c, "n_range", None) or f"n<={n_max}",
          "checked": checked, "witness": json.loads(json.dumps(witness))}
         for c in claims
         for witness, checked in [found[c]]

@@ -1,3 +1,5 @@
+import doctest
+
 import pytest
 from helpers import all_perms
 from hypothesis import given
@@ -144,3 +146,7 @@ class TestParsing:
 def test_first_letter_empty_word():
     with pytest.raises(EmptyWord):
         stats.ini(())
+
+
+def test_the_module_examples_run():
+    assert doctest.testmod(core) == (0, 2)  # (failed, attempted)

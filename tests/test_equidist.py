@@ -441,13 +441,16 @@ class TestMemo:
 
     def test_each_statistic_runs_once_per_permutation(self, monkeypatch):
         calls = Counter()
-        for module, name in ((stats, "mix"), (stats, "das"), (bijections, "psi")):
+        for module, name in ((stats, "mix"), (stats, "das"), (bijections, "psi"), (stats, "ini"),
+                             (bijections, "phi")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda p, name=name, real=real: calls.update([name]) or real(p))
         assert verify_suite(6)["passed"]
         perms = sum(math.factorial(n) for n in range(7))
-        assert perms == 874 and calls == {"mix": perms, "das": perms, "psi": perms}
+        # no claim reads ini at n = 0
+        assert perms == 874 and calls == {"mix": perms, "das": perms, "psi": perms,
+                                          "ini": perms - 1, "phi": perms}
 
     @pytest.mark.parametrize("suite, calls", [("all", 874), ("kratt", 197)])
     def test_avoiders_read_psi_off_the_psi_column(self, monkeypatch, suite, calls):

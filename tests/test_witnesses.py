@@ -205,3 +205,24 @@ def test_claims_and_ranges_of_the_whole_run():
         ("avoidance classes have Catalan size", perms),
         ("psi maps 321-avoiders onto 312-avoiders", perms),
     ]
+
+
+def test_the_lemma_suites_check_the_surgery_that_phi_folds(monkeypatch):
+    # _insert swaps the letters of nodes 1 and 2 after inserting 5 into
+    # 2413 alone, so f(5, 2413) = 52413 where it should be 54213
+    real = bijections._insert
+
+    def planted(val, kids, first):
+        real(val, kids, first)
+        if first == len(val) - 1 and val[1:] == [2, 4, 1, 3, 5]:
+            val[1], val[2] = val[2], val[1]
+
+    monkeypatch.setattr(bijections, "_insert", planted)
+    assert lemma_results("lemmas-f") == {
+        "lemma2 aid f(k,t) = aid t + |t<k|": (271, {"k": 5, "word": [2, 4, 1, 3]}),
+        "monotonicity f (aix, des)": (3620, None),
+        "lemma4 f (aix, des)": (
+            271, {"k": 5, "word": [2, 4, 1, 3], "before": [1, 2], "after": [2, 1]}),
+        "lemma5 f (aix, des)": (3620, None),
+        "lemma6 f (aix, des)": (271, {"k": 6, "l": 5, "sigma": [2, 4, 1, 3]}),
+    }
