@@ -8,14 +8,14 @@ distinct words of bounded length on a small alphabet.
 Every claim is a record in CLAIMS. One engine runs them, once over
 S_0..S_n and once over the lemma words: for each size it enumerates the
 objects once, in chunks, and feeds every selected claim from columns of
-the chunk's values, each computed on first use. Over S_n, a Memo computes
-a statistic read under phi or psi once per permutation, by rank, and holds
-psi as a map of ranks, from which the involution claim is decided once
-per size. A column of an insertion or an avoider covers the rows of its
-image that pass a test. A row claim is an expression over the columns,
-checked at C level one choice of inserted letters at a time. Over the lemma
-words, a WordMemo computes f(k, t) once per pair, keeping the images that
-lemma 6 computes until the rows of the next size take them out.
+the chunk's values, each computed on first use as its key's plan says,
+which _plan reads off the key once per key and size of a run. Over S_n, a
+Memo computes a statistic read under phi or psi once per permutation, by
+rank, and holds psi as a map of ranks, from which the involution claim is
+decided once per size. A row claim is an expression over the columns,
+checked at C level one choice of inserted letters at a time. Over the
+lemma words, a WordMemo computes f(k, t) once per pair, keeping the images
+that lemma 6 computes until the rows of the next size take them out.
 """
 from __future__ import annotations
 
@@ -93,24 +93,6 @@ def _inv2(p: Word) -> int:
     return count
 
 
-#: values a key can name besides rmaj:r and the functions of stats and bijections
-_DERIVED = {
-    "avoider321": lambda w: w,
-    "avoider312": lambda w: w,
-    "|Inv_2|": _inv2,
-    "lrmax": left_to_right_maxima,
-    **{f"f{k}": lambda w, k=k: bijections.f_insert(k, w)[0] for k in _LETTERS},
-    **{f"g{k}": lambda w, k=k: (k,) + w for k in _LETTERS},
-}
-_INSERTED = {f"{ins}{k}": k for ins in "fg" for k in _LETTERS}
-#: the keys whose column covers only the rows of its image where w passes a test
-_DOMAINS = {
-    "avoider321": lambda w: bijections.avoids(w, "321"),
-    "avoider312": lambda w: bijections.avoids(w, "312"),
-    **{name: lambda w, k=k: k not in w for name, k in _INSERTED.items()},
-}
-
-
 class Memo(dict):
     """Over S_n by lexicographic rank: per statistic n! small ints, -1 until
     computed, and psi[rank(p)] = rank(psi(p)) as Columns.store_psi writes
@@ -154,44 +136,64 @@ class WordMemo(dict):
     def __init__(self):
         super().__init__((k, {}) for k in _LETTERS)
 
-    def inserting(self, k: int, f: Callable, image: str) -> Callable:
-        """f(k, .) over the column image, kept or taken out as above."""
+    def inserting(self, k: int, f: Callable, outer: int | None) -> Callable:
+        """f(k, .) over a column of the words f(outer, sigma), or of the lemma
+        words where outer is None, kept or taken out as above."""
         kept = self[k]
-        if not image:
+        if outer is None:
             return lambda t: kept.pop(t, None) or f(t)
-        if _INSERTED[image.rpartition(".")[2]] not in LEMMA_ALPHABET:
-            return f
-        return lambda t: kept.setdefault(t, f(t))
+        return (lambda t: kept.setdefault(t, f(t))) if outer in LEMMA_ALPHABET else f
+
+
+def _plan(key: str, size: int, top: int | None, words: WordMemo | None) -> tuple:
+    """How a column of key is made over objects of one size: (image, name,
+    fn, test), fn mapped over the words of the column image ("" for the
+    objects) where test, if any, passes, and fn None keeping those words.
+    A key names a value of w ("inv", "psi", "rmaj:2", "f3" is f(3, w), "g3"
+    is 3 w, "avoider321" is w itself) or of an image ("phi.aid" is
+    aid(phi(w)), "f5.f3.des" is des(f(3, f(5, w)))). An insertion keeps
+    the words that lack its letter, an avoider those that avoid its
+    pattern. rmaj:r is one itemgetter (len on the empty word's profile ())
+    over the image "rawlings" of profiles rawlings(w, None, top) = (rmaj:1,
+    ..., rmaj:min(top, size)), whole where top is None; r is cut at size,
+    so no key reads it under an insertion. With words, f{k} keeps or takes
+    out its images. The functions are looked up on stats and bijections."""
+    image, _, name = key.rpartition(".")
+    if name.startswith("rmaj:"):
+        r = size if name == "rmaj:n" else min(int(name[5:]), size)
+        return key[:-len(name)] + "rawlings", name, itemgetter(r - 1) if size else len, None
+    if name in ("avoider321", "avoider312"):
+        return image, name, None, lambda w, pattern=name[-3:]: bijections.avoids(w, pattern)
+    if name[0] in "fg" and name[1:].isdigit():
+        k = int(name[1:])
+        fn = (lambda w: (k,) + w) if name[0] == "g" else lambda w: bijections.f_insert(k, w)[0]
+        if words is not None and name[0] == "f":
+            fn = words.inserting(k, fn, int(image.rpartition(".")[2][1:]) if image else None)
+        return image, name, fn, lambda w: k not in w
+    if name == "rawlings":
+        return image, name, lambda w: stats.rawlings(w, None, top), None
+    fn = {"|Inv_2|": _inv2, "lrmax": left_to_right_maxima}.get(name)
+    return image, name, fn or getattr(stats, name, None) or getattr(bijections, name), None
 
 
 class Columns(dict):
-    """The values the claims read over a chunk of objects: per key a list,
-    computed on first use. "p" is the chunk itself.
+    """The values the claims read over a chunk of objects of one size, per
+    key a list computed on first use as _plan's plan(key, size) says; "p"
+    is the chunk itself. domains maps every column to its rows, those of
+    its image or, where its plan has a test, those that pass it; at reads
+    a column on some of them. A column over an avoider reads the objects'
+    own column where the chunk has it. spent maps each key to (objects,
+    seconds), objects counting its rows, seconds the test's too. With a
+    Memo the objects are S_n from rank start on, and a statistic it holds,
+    of p, phi(p) or psi(p), is computed only where it is missing."""
 
-    A key names a value of w ("inv", "psi", "rmaj:2", "f3" is f(3, w), "g3"
-    is 3 w, "avoider321" is w itself) or of an image ("phi.aid" is
-    aid(phi(w)), "f5.f3.des" is des(f(3, f(5, w)))). A column has a value
-    per row of its image, but one named in _DOMAINS only on the rows of its
-    image where w passes the test: an insertion where w lacks its letter,
-    an avoider where w avoids its pattern. domains maps every column to its
-    rows, such a column's own and any other its image's; at reads a column
-    on some of them. The functions are looked up on their modules once per
-    column. spent maps each key to (objects, seconds), objects counting
-    its rows, seconds the test's too. The objects have one size, as
-    _chunks gives them, so "rmaj:r" is one itemgetter over the column of
-    profiles rawlings(w, None, top): (rmaj:1, ..., rmaj:m), m = min(top,
-    n), whole where top is None. avoider321.psi reads psi where it can.
-    With a Memo the objects are S_n from rank start on, and a statistic it
-    holds, of p, phi(p) or psi(p), is computed only where it is missing;
-    with a WordMemo f{k} keeps or takes out its images.
-    """
-
-    def __init__(self, objects: list, spent: dict, memo: Memo | WordMemo | None = None,
-                 start: int = 0, top: int | None = None):
+    def __init__(self, objects: list, spent: dict, plan: Callable,
+                 memo: Memo | WordMemo | None = None, start: int = 0):
         super().__init__(p=objects)
-        self.spent, self.memo, self.start, self.top = spent, memo, start, top
+        self.spent, self.plan, self.memo, self.start = spent, plan, memo, start
+        self.size = len(objects[0])
         self.ranks = {"": range(start, start + len(objects))}
-        self.domains = {"": range(len(objects))}
+        self.domains = dict.fromkeys(("", "p"), range(len(objects)))
         self.chosen = {"": [({}, self.domains[""])]}  # one choice: the whole chunk
 
     def lacking(self, image: str) -> list:
@@ -216,7 +218,7 @@ class Columns(dict):
 
     def at(self, key: str, rows: list) -> Iterator:
         """key's values on rows, some of the rows its column covers."""
-        column, domain = self[key], self.domains[key.rpartition(".")[0]]
+        column, domain = self[key], self.domains[key]
         if domain is rows:
             return iter(column)
         if not isinstance(domain, range):  # a column with a domain, read by row
@@ -224,39 +226,26 @@ class Columns(dict):
         return map(column.__getitem__, rows)
 
     def __missing__(self, key: str) -> list:
-        image, _, name = key.rpartition(".")
-        rmaj = name.startswith("rmaj:")
-        if rmaj:  # read off the profile rawlings(w) = (rmaj:1, ..., rmaj:n)
-            image = key[:-len(name)] + "rawlings"
+        image, name, fn, test = self.plan(key, self.size)
         try:
             words = self[image or "p"]
         except WordNotPermutation:  # a profile names the family, not rmaj:r
             raise WordNotPermutation(name) from None
-        if rmaj:
-            size = len(next(iter(words), ()))
-            r = size if name == "rmaj:n" else min(int(name[5:]), size)
-            fn = itemgetter(r - 1) if size else len  # the empty word's profile is ()
-        else:
-            fn = _DERIVED.get(name) or getattr(stats, name, None) or getattr(bijections, name)
-        if name == "rawlings":
-            fn = lambda w, profile=fn, k=self.top: profile(w, None, k)
         memo, index = self.memo, None  # index: the rows' ranks under image, if memoized
         if isinstance(memo, Memo) and name in memo:
             if image not in self.ranks:
                 self.ranks[image] = memo.ranks(words)
             index = self.ranks[image]
         start = time.perf_counter()
-        if name in _DOMAINS:
-            passes = [*map(_DOMAINS[name], words)]
+        if test:
+            passes = [*map(test, words)]
             self.domains[key] = [*itertools.compress(self.domains[image], passes)]
             words = [*itertools.compress(words, passes)]
-            if isinstance(memo, WordMemo) and name[0] == "f":
-                fn = memo.inserting(_INSERTED[name], fn, image)
         self.domains.setdefault(key, self.domains[image])
-        if image in ("avoider321", "avoider312") and name in self:  # p's column, on image's rows
-            column = [*map(self[name].__getitem__, self.domains[image])]
+        if image and name in self and self.plan(image, self.size)[2] is None:
+            column = [*map(self[name].__getitem__, self.domains[image])]  # p's, on image's rows
         elif not index:
-            column = [*map(fn, words)]
+            column = words if fn is None else [*map(fn, words)]
         else:
             values = memo[name]
             for w, i in zip(words, index):
@@ -321,9 +310,10 @@ def joint_distribution(perms: Iterable[Word], names) -> dict[tuple, int]:
     for name in names:  # Columns would also read other keys, and rmaj:0 as rmaj:n
         stats.resolve_statistic(name)
     top = max((int(name[5:]) for name in names if name.startswith("rmaj:")), default=None)
+    plan = functools.cache(lambda key, size: _plan(key, size, top, None))
     counts: Counter = Counter()
     for chunk in _chunks(perms):
-        _count(counts, Columns(chunk, {}, top=top), names)
+        _count(counts, Columns(chunk, {}, plan), names)
     return _keyed(counts, names)
 
 
@@ -553,31 +543,34 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
          words: WordMemo | None = None) -> dict:
     """Check claims on the objects of sizes 0..n_max, enumerating those of
     each size once, in the order objects(n) yields them, in chunks whose
-    columns every claim reads. A claim is checked from its n_min, and up to
-    its own n_max where it has one. spent gathers the columns' costs.
-
-    Returns claim -> (witness, checked), where checked counts the objects
-    examined up to the witness, or all of them. Joint distributions stream
-    into per-n count maps, one per distinct tally. Over S_n, in
-    lexicographic order, a Memo per n holds the registry statistics that
-    the claims' keys read under phi or psi, and psi's
+    columns every claim reads, as the run's plans say: one _plan per key
+    and size, made afresh in each run and dropped with the size. A claim is
+    checked from its n_min, and up to its own n_max where it has one. spent
+    gathers the columns' costs. Returns claim -> (witness, checked), where
+    checked counts the objects examined up to the witness, or all of them.
+    Joint distributions stream into per-n count maps, one per distinct
+    tally. Over S_n, in lexicographic order, a Memo per n holds the registry
+    statistics whose plans read them of an image (phi or psi), and psi's
     ranks while the involution is checked: one pass over those decides it
     when the size ends. Over the lemma words, words is the one WordMemo of
-    every size. Nothing but the memos and the count maps outlives a chunk.
+    every size. Only the memos, the plans and the count maps outlive a chunk.
     """
     found = {c: (None, 0) for c in claims}
+    plan = functools.cache(lambda key, size: _plan(key, size, None, words))
     for n in range(n_max + 1):
+        plan.cache_clear()  # no later size reads this size's plans
         live = [c for c in claims if found[c][0] is None and c.n_min <= n
                 and (getattr(c, "n_max", None) is None or n <= c.n_max)]
         checks = [c for c in live if isinstance(c, Pointwise)]
         counts = {t: Counter() for c in live if isinstance(c, Tallied) for t in c.tallies(n)}
         involution = any(isinstance(c, Involution) for c in live)
-        keys = set().union(*(_keys(c.holds) for c in checks), *counts)
-        mapped = {k[4:] for k in keys if k[:4] in ("phi.", "psi.") and k[4:] in stats.REGISTRY}
+        keys = set().union(*(_keys(c.holds) for c in checks), *counts) if words is None else ()
+        mapped = {name for image, name, _, _ in (plan(k, n) for k in keys)
+                  if image and name in stats.REGISTRY}
         memo = Memo(n, mapped) if words is None and (mapped or involution) else words
         size = 0
         for chunk in _chunks(objects(n) if live else ()):
-            columns = Columns(chunk, spent, memo, size)
+            columns = Columns(chunk, spent, plan, memo, size)
             if involution:
                 columns.store_psi()
             for c in checks:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from operator import itemgetter
@@ -488,6 +489,23 @@ class TestMemo:
         monkeypatch.setattr(bijections, "f_insert", lambda k, t: calls.append((k, t)) or real(k, t))
         verify_suite(0)
         assert len(calls) == len(set(calls)) == 15898
+
+    def test_insertions_are_planned_once_per_key_and_size(self, monkeypatch):
+        """WordMemo.inserting binds f(k, .) once per f{k} key and size of
+        the lemma run, whatever the width of a chunk."""
+        counts = []
+        for chunk in (1, 32, 256):
+            calls = []
+            real = equidist.WordMemo.inserting
+            monkeypatch.setattr(equidist, "CHUNK", chunk)
+            monkeypatch.setattr(equidist.WordMemo, "inserting",
+                                lambda memo, *args: calls.append(args) or real(memo, *args))
+            values = verify_suite(0)["values"]
+            monkeypatch.undo()
+            counts.append(len(calls))
+        inserting = [k for k in values if re.fullmatch(r"(f\d\.)?f\d", k)]  # f3, f5.f3
+        assert len(inserting) == 64
+        assert counts[0] == counts[1] == counts[2] <= 64 * (equidist.LEMMA_MAX_LEN + 1)
 
     def test_a_clean_run_keeps_no_image(self, monkeypatch):
         """Every image a nested column keeps is taken out by its row's own
