@@ -10,7 +10,7 @@ S_0..S_n and once over the lemma words: for each size it enumerates the
 objects once, in chunks, and feeds every selected claim from columns of
 the chunk's values, each computed on first use as its key's plan says,
 which _plan reads off the key once per key and size of a run. Over S_n, a
-Memo computes a statistic read under phi or psi once per permutation, by
+Memo computes each registry statistic in one pass over the size, read by
 rank, and holds psi as a map of ranks, from which the involution claim is
 decided once per size. A row claim is an expression over the columns,
 checked at C level one choice of inserted letters at a time. Over the
@@ -94,22 +94,36 @@ def _inv2(p: Word) -> int:
 
 
 class Memo(dict):
-    """Over S_n by lexicographic rank: per statistic n! small ints, -1 until
-    computed, and psi[rank(p)] = rank(psi(p)) as Columns.store_psi writes
-    it. A rank adds the Lehmer-code shares of a word's halves (Lehmer,
-    1960), each packed above the bit set of its letters; the sets add up
-    to {1..n} exactly on S_n."""
+    """Over S_n by lexicographic rank: per registry statistic an array of n!
+    signed bytes, filled in one pass at its first read (a registry value on
+    S_n is at most max(C(n, 2), n), a byte for n <= 16; one out of range
+    raises OverflowError), and psi[rank(p)] = rank(psi(p)) as
+    Columns.store_psi writes it, psi[-1] = -1 past S_n. A rank adds the
+    Lehmer-code shares of a word's halves (Lehmer, 1960), each packed above
+    the bit set of its letters; the sets add up to {1..n} exactly on S_n.
+    The rank tables and psi are built at their first use."""
 
-    def __init__(self, n: int, names):
-        size, h, shift, letters = math.factorial(n), n // 2, n + 2, range(1, n + 1)
-        super().__init__((name, array("h", [-1]) * size) for name in names)
-        self.psi = array("i", [-1]) * (size + 1)  # psi[-1] = -1 past S_n
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def statistic(self, name: str, fn: Callable) -> array:
+        """name's array: fn's values on S_n by rank."""
+        if name not in self:
+            self[name] = array("b", map(fn, itertools.permutations(range(1, self.n + 1))))
+        return self[name]
+
+    psi = functools.cached_property(lambda self: array("i", [-1]) * (math.factorial(self.n) + 1))
+
+    @functools.cached_property
+    def tables(self) -> tuple:
+        n, h, shift, letters = self.n, self.n // 2, self.n + 2, range(1, self.n + 1)
         head = {w: i * math.factorial(n - h) << shift | sum(1 << x for x in w)
                 for i, w in enumerate(itertools.permutations(letters, h))}
         tail = {w: j << shift | sum(1 << x for x in w)  # j: w's rank on its letters
                 for c in itertools.combinations(letters, n - h)
                 for j, w in enumerate(itertools.permutations(c))}
-        self.tables = head, tail, h, shift, (1 << shift) - 1, (1 << n + 1) - 2
+        return head, tail, h, shift, (1 << shift) - 1, (1 << n + 1) - 2
 
     def ranks(self, words: list) -> list[int] | None:
         """The words' ranks, or None if one is not in S_n."""
@@ -184,11 +198,11 @@ class Columns(dict):
     a column on some of them. A column over an avoider reads the objects'
     own column where the chunk has it. spent maps each key to (objects,
     seconds), objects counting its rows, seconds the test's too. With a
-    Memo the objects are S_n from rank start on, and a statistic it holds,
-    of p, phi(p) or psi(p), is computed only where it is missing."""
+    Memo the objects are S_n from rank start on, and a registry statistic
+    of words that all have a rank is read off the memo."""
 
     def __init__(self, objects: list, spent: dict, plan: Callable,
-                 memo: Memo | WordMemo | None = None, start: int = 0):
+                 memo: Memo | None = None, start: int = 0):
         super().__init__(p=objects)
         self.spent, self.plan, self.memo, self.start = spent, plan, memo, start
         self.size = len(objects[0])
@@ -216,6 +230,12 @@ class Columns(dict):
             self.chosen[over] = [(slot, self.domains[path[:-1]]) for slot, path in slots]
         return self.chosen[over]
 
+    def index(self, image: str) -> range | list[int] | None:
+        """The ranks of image's words, as Memo.ranks gives them."""
+        if image not in self.ranks:
+            self.ranks[image] = self.memo.ranks(self[image])
+        return self.ranks[image]
+
     def at(self, key: str, rows: list) -> Iterator:
         """key's values on rows, some of the rows its column covers."""
         column, domain = self[key], self.domains[key]
@@ -231,11 +251,6 @@ class Columns(dict):
             words = self[image or "p"]
         except WordNotPermutation:  # a profile names the family, not rmaj:r
             raise WordNotPermutation(name) from None
-        memo, index = self.memo, None  # index: the rows' ranks under image, if memoized
-        if isinstance(memo, Memo) and name in memo:
-            if image not in self.ranks:
-                self.ranks[image] = memo.ranks(words)
-            index = self.ranks[image]
         start = time.perf_counter()
         if test:
             passes = [*map(test, words)]
@@ -244,14 +259,10 @@ class Columns(dict):
         self.domains.setdefault(key, self.domains[image])
         if image and name in self and self.plan(image, self.size)[2] is None:
             column = [*map(self[name].__getitem__, self.domains[image])]  # p's, on image's rows
-        elif not index:
-            column = words if fn is None else [*map(fn, words)]
+        elif self.memo is not None and name in stats.REGISTRY and self.index(image) is not None:
+            column = [*map(self.memo.statistic(name, fn).__getitem__, self.ranks[image])]
         else:
-            values = memo[name]
-            for w, i in zip(words, index):
-                if values[i] < 0:
-                    values[i] = fn(w)
-            column = list(map(values.__getitem__, index))
+            column = words if fn is None else [*map(fn, words)]
         _charge(self.spent, key, len(words), start)
         self[key] = column
         return column
@@ -262,14 +273,10 @@ class Columns(dict):
         row checks psi(psi(p)) = p directly and stores rank(p) if it holds,
         -1 if not, so psi[psi[i]] = i exactly where psi(psi(p)) = p. The cost
         is charged to psi.psi."""
-        images, memo = self["psi"], self.memo
-        start = time.perf_counter()
-        if "psi" not in self.ranks:
-            self.ranks["psi"] = memo.ranks(images)
-        index = self.ranks["psi"]
-        if index is None:
-            index = [(memo.ranks([q]) or [i if bijections.psi(q) == p else -1])[0]
-                     for i, p, q in zip(itertools.count(self.start), self["p"], images)]
+        images, memo, start = self["psi"], self.memo, time.perf_counter()
+        index = self.index("psi") or [
+            (memo.ranks([q]) or [i if bijections.psi(q) == p else -1])[0]
+            for i, p, q in zip(itertools.count(self.start), self["p"], images)]
         memo.psi[self.start:self.start + len(index)] = array("i", index)
         _charge(self.spent, "psi.psi", len(images), start)
 
@@ -417,12 +424,6 @@ def _compiled(expr) -> Callable:
     return implies
 
 
-def _keys(expr) -> set:
-    """The keys and letter names that an expression reads."""
-    return (set().union(*map(_keys, expr[1:])) if isinstance(expr, tuple)
-            else {expr} if isinstance(expr, str) else set())
-
-
 def _equidistributed(label, suite, base: Keys, sides, tag=None, n_min=0) -> Tallied:
     """base has the joint distribution of every side on each S_n. sides(n)
     lists (name, keys) in the order checked; when tag is set, the witness
@@ -549,8 +550,8 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
     gathers the columns' costs. Returns claim -> (witness, checked), where
     checked counts the objects examined up to the witness, or all of them.
     Joint distributions stream into per-n count maps, one per distinct
-    tally. Over S_n, in lexicographic order, a Memo per n holds the registry
-    statistics whose plans read them of an image (phi or psi), and psi's
+    tally. Over S_n, in lexicographic order, a Memo per n holds every
+    registry statistic a claim reads, of p, phi(p) or psi(p), and psi's
     ranks while the involution is checked: one pass over those decides it
     when the size ends. Over the lemma words, words is the one WordMemo of
     every size. Only the memos, the plans and the count maps outlive a chunk.
@@ -564,10 +565,7 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
         checks = [c for c in live if isinstance(c, Pointwise)]
         counts = {t: Counter() for c in live if isinstance(c, Tallied) for t in c.tallies(n)}
         involution = any(isinstance(c, Involution) for c in live)
-        keys = set().union(*(_keys(c.holds) for c in checks), *counts) if words is None else ()
-        mapped = {name for image, name, _, _ in (plan(k, n) for k in keys)
-                  if image and name in stats.REGISTRY}
-        memo = Memo(n, mapped) if words is None and (mapped or involution) else words
+        memo = Memo(n) if words is None else None
         size = 0
         for chunk in _chunks(objects(n) if live else ()):
             columns = Columns(chunk, spent, plan, memo, size)

@@ -359,26 +359,26 @@ class TestOneSizePerChunk:
 
 
 class TestMemo:
-    """Over S_n the engine keeps the statistics read under phi or psi by
+    """Over S_n the engine keeps every registry statistic a claim reads by
     lexicographic rank; a run computes each once per permutation and gives
     the reports that computing every image would give."""
 
     def test_rank_is_the_enumeration_index(self):
         for n in range(8):
             perms = list(all_permutations(n))
-            assert equidist.Memo(n, ()).ranks(perms) == list(range(len(perms)))
+            assert equidist.Memo(n).ranks(perms) == list(range(len(perms)))
 
     @pytest.mark.parametrize("word", [(1, 2, 2, 4), (0, 2, 3, 4), (1, 2, 3, 5), (2, 4, 1),
                                       (2, 4, 1, 3, 5), (4, 4, 3, 1)])
     def test_a_word_outside_s_4_has_no_rank(self, word):
-        memo = equidist.Memo(4, ())
+        memo = equidist.Memo(4)
         assert memo.ranks([word]) is None
         assert memo.ranks([(2, 4, 1, 3), word]) is None
         assert memo.ranks([(2, 4, 1, 3)]) == [list(all_permutations(4)).index((2, 4, 1, 3))]
 
     @pytest.mark.parametrize("n, word", [(0, (1,)), (1, ()), (1, (0,)), (1, (2,)), (2, (1, 1))])
     def test_small_sizes(self, n, word):
-        assert equidist.Memo(n, ()).ranks([word]) is None
+        assert equidist.Memo(n).ranks([word]) is None
 
     def test_an_image_outside_s_n_gives_the_same_witnesses(self, monkeypatch):
         # a planted phi sends (2, 4, 1, 3) to a word with a letter repeated
@@ -441,9 +441,11 @@ class TestMemo:
             {"n": 4, "missing": [[2, 4, 3, 1]]})
 
     def test_each_statistic_runs_once_per_permutation(self, monkeypatch):
+        # exc, fix, maj and ides are read of p alone, and no other kernel calls them
         calls = Counter()
         for module, name in ((stats, "mix"), (stats, "das"), (bijections, "psi"), (stats, "ini"),
-                             (bijections, "phi")):
+                             (bijections, "phi"), (stats, "exc"), (stats, "fix"),
+                             (stats, "maj"), (stats, "ides")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda p, name=name, real=real: calls.update([name]) or real(p))
@@ -451,7 +453,29 @@ class TestMemo:
         perms = sum(math.factorial(n) for n in range(7))
         # no claim reads ini at n = 0
         assert perms == 874 and calls == {"mix": perms, "das": perms, "psi": perms,
-                                          "ini": perms - 1, "phi": perms}
+                                          "ini": perms - 1, "phi": perms, "exc": perms,
+                                          "fix": perms, "maj": perms, "ides": perms}
+
+    def test_each_statistic_read_is_one_byte_array_per_size(self, monkeypatch):
+        """Over S_n the memo holds one array of n! signed bytes per registry
+        statistic that a claim reads, of p, phi(p) or psi(p)."""
+        memos = []
+
+        class Recorded(equidist.Memo):
+            def __init__(self, *args):
+                super().__init__(*args)
+                memos.append(self)
+
+        monkeypatch.setattr(equidist, "Memo", Recorded)
+        assert verify_suite(8)["passed"]
+        read = {"des", "exc", "lec", "das", "inv", "maj", "aid", "mix", "ini", "aix", "pix",
+                "fix", "ides"}
+        assert len(memos) == 9 and set(memos[8]) == read and len(read) == 13
+        for n, memo in enumerate(memos):
+            assert all(a.typecode == "b" and len(a) == math.factorial(n) for a in memo.values())
+        # a value past a signed byte raises instead of wrapping
+        with pytest.raises(OverflowError):
+            equidist.Memo(3).statistic("inv", lambda p: 128)
 
     @pytest.mark.parametrize("suite, calls", [("all", 874), ("kratt", 197)])
     def test_avoiders_read_psi_off_the_psi_column(self, monkeypatch, suite, calls):
