@@ -10,13 +10,14 @@ S_0..S_n and once over the lemma words: for each size it enumerates the
 objects once, in chunks, and feeds every selected claim from columns of
 the chunk's values, each computed on first use as its key's plan says,
 which _plan reads off the key once per key and size of a run. Over S_n, a
-Memo computes each registry statistic in one pass over the size, read by
-rank, and holds psi as a map of ranks, from which the involution claim is
-decided once per size. A row claim is an expression over the columns,
-checked at C level one choice of inserted letters at a time. Over the
-lemma words, a WordMemo computes f(k, t) once per pair, keeping the images
-that lemma 6 computes until the rows of the next size take them out.
-"""
+Memo computes each registry statistic in one pass over the size, read as
+a slice for the objects and by rank for their images (what it cannot hold
+is computed directly), and holds psi as a map of ranks, from which the
+involution claim is decided once per size. A row claim is an expression
+over the columns, compiled once per choice of inserted letters and
+checked at C level. Over the lemma words, a WordMemo computes f(k, t)
+once per pair, keeping the images that lemma 6 computes until the rows of
+the next size take them out."""
 from __future__ import annotations
 
 import functools
@@ -29,7 +30,7 @@ import time
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from operator import add, and_, eq, ge, gt, itemgetter, le, ne, not_
+from operator import add, and_, eq, ge, gt, itemgetter, le, not_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections, stats
@@ -95,25 +96,27 @@ def _inv2(p: Word) -> int:
 
 class Memo(dict):
     """Over S_n by lexicographic rank: per registry statistic an array of n!
-    signed bytes, filled in one pass at its first read (a registry value on
-    S_n is at most max(C(n, 2), n), a byte for n <= 16; one out of range
-    raises OverflowError), and psi[rank(p)] = rank(psi(p)) as
-    Columns.store_psi writes it, psi[-1] = -1 past S_n. A rank adds the
-    Lehmer-code shares of a word's halves (Lehmer, 1960), each packed above
-    the bit set of its letters; the sets add up to {1..n} exactly on S_n.
-    The rank tables and psi are built at their first use."""
+    signed bytes, filled in one pass at its first read (a value on S_n is at
+    most max(C(n, 2), n), a byte for n <= 16), or None if a value is no int
+    in -128..127 (only a broken kernel returns one), and psi[rank(p)] =
+    rank(psi(p)) as Columns.store_psi writes it. A rank adds the Lehmer-code
+    shares of a word's halves (Lehmer, 1960), each packed above the bit set
+    of its letters; the sets add up to {1..n} exactly on S_n. The rank
+    tables and psi are built at their first use."""
 
     def __init__(self, n: int):
-        super().__init__()
         self.n = n
 
-    def statistic(self, name: str, fn: Callable) -> array:
-        """name's array: fn's values on S_n by rank."""
+    def statistic(self, name: str, fn: Callable) -> array | None:
+        """name's array: fn's values on S_n by rank, or None as above."""
         if name not in self:
-            self[name] = array("b", map(fn, itertools.permutations(range(1, self.n + 1))))
+            try:
+                self[name] = array("b", map(fn, itertools.permutations(range(1, self.n + 1))))
+            except (OverflowError, TypeError):
+                self[name] = None
         return self[name]
 
-    psi = functools.cached_property(lambda self: array("i", [-1]) * (math.factorial(self.n) + 1))
+    psi = functools.cached_property(lambda self: array("i", [-1]) * math.factorial(self.n))
 
     @functools.cached_property
     def tables(self) -> tuple:
@@ -130,13 +133,6 @@ class Memo(dict):
         head, tail, h, shift, low, full = self.tables
         totals = [head.get(w[:h], -1) + tail.get(w[h:], -1) for w in words]
         return [t >> shift for t in totals] if all(t & low == full for t in totals) else None
-
-    def unfixed(self) -> Iterator[int]:
-        """The ranks i with psi[psi[i]] != i, in order and streamed: once
-        store_psi has written all of S_n, those of the p with psi(psi(p)) != p."""
-        psi = self.psi
-        images = map(psi.__getitem__, itertools.islice(psi, len(psi) - 1))
-        return itertools.compress(itertools.count(), map(ne, images, itertools.count()))
 
 
 class WordMemo(dict):
@@ -192,23 +188,23 @@ def _plan(key: str, size: int, top: int | None, words: WordMemo | None) -> tuple
 
 class Columns(dict):
     """The values the claims read over a chunk of objects of one size, per
-    key a list computed on first use as _plan's plan(key, size) says; "p"
+    key a column computed on first use as _plan's plan(key, size) says; "p"
     is the chunk itself. domains maps every column to its rows, those of
     its image or, where its plan has a test, those that pass it; at reads
     a column on some of them. A column over an avoider reads the objects'
     own column where the chunk has it. spent maps each key to (objects,
     seconds), objects counting its rows, seconds the test's too. With a
-    Memo the objects are S_n from rank start on, and a registry statistic
-    of words that all have a rank is read off the memo."""
+    Memo the objects are S_n from rank start on: a registry statistic the
+    memo holds is, of p, a slice of its array and, of an image whose words
+    all have ranks (held in ranks), read at those. Else it is computed."""
 
     def __init__(self, objects: list, spent: dict, plan: Callable,
                  memo: Memo | None = None, start: int = 0):
         super().__init__(p=objects)
-        self.spent, self.plan, self.memo, self.start = spent, plan, memo, start
+        self.spent, self.plan, self.memo, self.start, self.ranks = spent, plan, memo, start, {}
         self.size = len(objects[0])
-        self.ranks = {"": range(start, start + len(objects))}
         self.domains = dict.fromkeys(("", "p"), range(len(objects)))
-        self.chosen = {"": [({}, self.domains[""])]}  # one choice: the whole chunk
+        self.chosen = {"": [((), self.domains[""])]}  # one choice: the whole chunk
 
     def lacking(self, image: str) -> list:
         """The letters of _LETTERS that some word of image lacks, in order."""
@@ -216,21 +212,21 @@ class Columns(dict):
         return [x for x in _LETTERS if x not in common]
 
     def choices(self, over: str) -> list:
-        """(letters, rows) for each choice of the letters an insertion path
-        such as "f{l}.f{k}" names that some row's word lacks, in order; rows
-        is the domain of the path with the letters put in."""
+        """(slot, rows) for each choice of the letters that an insertion path
+        such as "f{l}.f{k}" names and some row's word lacks, in order: slot's
+        (name, letter) pairs, and the domain of the path with them put in."""
         if over not in self.chosen:
-            slots = [({}, "")]  # the letters so far, and the path they make, then "."
-            for part in over.split("."):
+            slots, parts = [()], over.split(".")
+            for i, part in enumerate(parts):
                 name = part[part.index("{") + 1:-1]
-                slots = [({**slot, name: x}, f"{path}{part.format(**{name: x})}.")
-                         for slot, path in slots for x in self.lacking(path[:-1])]
-            for slot, path in slots:
-                self[path[:-1]]  # which records the domain
-            self.chosen[over] = [(slot, self.domains[path[:-1]]) for slot, path in slots]
+                slots = [(*slot, (name, x)) for slot in slots
+                         for x in self.lacking(_key(".".join(parts[:i]), slot))]
+            for slot in slots:
+                self[_key(over, slot)]  # which records the domain
+            self.chosen[over] = [(slot, self.domains[_key(over, slot)]) for slot in slots]
         return self.chosen[over]
 
-    def index(self, image: str) -> range | list[int] | None:
+    def index(self, image: str) -> list[int] | None:
         """The ranks of image's words, as Memo.ranks gives them."""
         if image not in self.ranks:
             self.ranks[image] = self.memo.ranks(self[image])
@@ -245,7 +241,7 @@ class Columns(dict):
             column = dict(zip(domain, column))
         return map(column.__getitem__, rows)
 
-    def __missing__(self, key: str) -> list:
+    def __missing__(self, key: str) -> list | array:
         image, name, fn, test = self.plan(key, self.size)
         try:
             words = self[image or "p"]
@@ -257,10 +253,14 @@ class Columns(dict):
             self.domains[key] = [*itertools.compress(self.domains[image], passes)]
             words = [*itertools.compress(words, passes)]
         self.domains.setdefault(key, self.domains[image])
+        memo = self.memo if name in stats.REGISTRY else None
+        values = None if memo is None else memo.statistic(name, fn)
         if image and name in self and self.plan(image, self.size)[2] is None:
             column = [*map(self[name].__getitem__, self.domains[image])]  # p's, on image's rows
-        elif self.memo is not None and name in stats.REGISTRY and self.index(image) is not None:
-            column = [*map(self.memo.statistic(name, fn).__getitem__, self.ranks[image])]
+        elif values is not None and not image:
+            column = values[self.start:self.start + len(words)]
+        elif values is not None and self.index(image) is not None:
+            column = [*map(values.__getitem__, self.ranks[image])]
         else:
             column = words if fn is None else [*map(fn, words)]
         _charge(self.spent, key, len(words), start)
@@ -269,10 +269,9 @@ class Columns(dict):
 
     def store_psi(self) -> None:
         """Store rank(psi(p)) at rank(p) in the memo for the chunk's rows.
-        Where psi(p) has no rank (only a broken psi makes such a row), the
-        row checks psi(psi(p)) = p directly and stores rank(p) if it holds,
-        -1 if not, so psi[psi[i]] = i exactly where psi(psi(p)) = p. The cost
-        is charged to psi.psi."""
+        Where psi(p) has no rank (only a broken psi makes one), the row checks
+        psi(psi(p)) = p directly and stores rank(p) if it holds, -1 if not, so
+        psi[psi[i]] = i exactly where psi(psi(p)) = p. Charged to psi.psi."""
         images, memo, start = self["psi"], self.memo, time.perf_counter()
         index = self.index("psi") or [
             (memo.ranks([q]) or [i if bijections.psi(q) == p else -1])[0]
@@ -337,19 +336,18 @@ def distributions_equal(a: dict, b: dict) -> tuple[bool, tuple | None]:
 # -- claims -----------------------------------------------------------------------
 
 class Pointwise(NamedTuple):
-    """holds is true on every row of each size from n_min to n_max: an
-    object p with a choice of the letters that the insertion path over puts
-    in ("f{k}": each k of _LETTERS outside p; "f{l}.f{k}": each l outside p
-    and k outside f(l, p); "": none, one choice that covers the chunk).
-    holds is a key with the row's letters put in ("f{k}.des" is des(f(k,
-    p))), a letter's name, an int, or (op, *args), op mapped over its
-    arguments' values at C level, over the rows of one choice of a chunk at
-    a time; an implication (le, a, b) reads b on a choice only where a
-    holds on one of its rows. The witness is the smallest failing (row,
-    choice): the first object in enumeration order (over S_n the
-    lexicographically smallest at the smallest failing size; a lemma word
-    shortest first, each length in _words order), then its smallest
-    letters; shown lists its fields, each a key or keys."""
+    """holds is true on every row of each size from n_min to n_max: an object p
+    with a choice of the letters that the insertion path over puts in
+    ("f{k}": each k of _LETTERS outside p; "f{l}.f{k}": each l outside p and
+    k outside f(l, p); "": none, one choice that covers the chunk). holds is
+    a key with the row's letters put in ("f{k}.des" is des(f(k, p))), a
+    letter's name, an int, or (op, *args), op mapped at C level over its
+    arguments' values on the rows of one choice; an implication (le, a, b)
+    reads b on a choice only where a holds on one of its rows. The witness
+    is the smallest failing (row, choice): the first object in enumeration
+    order (over S_n the lexicographically smallest at the smallest failing
+    size; a lemma word shortest first, each length in _words order), then
+    its smallest letters; shown lists its fields, each a key or keys."""
 
     label: str
     suite: str
@@ -362,22 +360,18 @@ class Pointwise(NamedTuple):
 
     def failure(self, columns: Columns) -> tuple | None:
         """(row, witness) of the chunk's first failing row, or None."""
-
-        def get(slot, rows):  # a key's values on the rows of one choice
-            return lambda key: (itertools.repeat(slot[key], len(rows)) if key in slot
-                                else columns.at(key.format(**slot), rows))
-
-        first, check = None, _compiled(self.holds)
+        first = None
         for slot, rows in columns.choices(self.over):
-            i = next(itertools.compress(rows, map(not_, check(get(slot, rows)))), None)
+            failing = map(not_, _compiled(self.holds, slot)(columns, rows))
+            i = next(itertools.compress(rows, failing), None)
             if i is not None and (first is None or i < first[0]):
                 first = i, slot
         if first is None:
             return None
         i, slot = first
-        value = get(slot, [i])
-        return i, {field: tuple(next(value(k)) for k in keys) if isinstance(keys, tuple)
-                   else next(value(keys)) for field, keys in self.shown}
+        return i, {field: tuple(next(_compiled(k, slot)(columns, [i])) for k in keys)
+                   if isinstance(keys, tuple) else next(_compiled(keys, slot)(columns, [i]))
+                   for field, keys in self.shown}
 
 
 class Tallied(NamedTuple):
@@ -395,31 +389,35 @@ class Tallied(NamedTuple):
 
 class Involution(NamedTuple):
     """psi(psi(p)) = p on every permutation of each size from n_min, decided
-    when the size ends from the ranks in Memo.psi, by Memo.unfixed. The
-    witness is the first failing permutation in enumeration order, as for
-    Pointwise."""
+    in one pass over the ranks in Memo.psi when the size ends. The witness
+    is the first failing permutation in enumeration order."""
 
     label: str
     suite: str
     n_min: int = 0
 
 
+#: a template with a slot's (name, letter) pairs put in: "f3.des" of "f{k}.des", (("k", 3),)
+_key = functools.cache(lambda template, slot: template.format(**dict(slot)))
+
+
 @functools.cache
-def _compiled(expr) -> Callable:
-    """A Pointwise expression as a function of get, which gives a key's values
-    over the rows of one choice of letters."""
+def _compiled(expr, slot: tuple) -> Callable:
+    """A Pointwise expression with the letters of a slot put in, as a
+    function of (columns, rows): its values over those rows of the chunk."""
+    expr = dict(slot).get(expr, expr) if isinstance(expr, str) else expr
     if isinstance(expr, str):
-        return lambda get: get(expr)
+        return lambda columns, rows, key=_key(expr, slot): columns.at(key, rows)
     if isinstance(expr, int):
-        return lambda get: itertools.repeat(expr)
-    op, args = expr[0], [*map(_compiled, expr[1:])]
+        return lambda columns, rows: itertools.repeat(expr)
+    op, args = expr[0], [_compiled(arg, slot) for arg in expr[1:]]
     if op is not le:
-        return lambda get: map(op, *[arg(get) for arg in args])
+        return lambda columns, rows: map(op, *[arg(columns, rows) for arg in args])
     premise, then = args
 
-    def implies(get):
-        holds = [*premise(get)]
-        return map(le, holds, then(get)) if any(holds) else map(not_, holds)
+    def implies(columns, rows):
+        holds = [*premise(columns, rows)]
+        return map(le, holds, then(columns, rows)) if any(holds) else map(not_, holds)
 
     return implies
 
@@ -551,11 +549,10 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
     checked counts the objects examined up to the witness, or all of them.
     Joint distributions stream into per-n count maps, one per distinct
     tally. Over S_n, in lexicographic order, a Memo per n holds every
-    registry statistic a claim reads, of p, phi(p) or psi(p), and psi's
-    ranks while the involution is checked: one pass over those decides it
-    when the size ends. Over the lemma words, words is the one WordMemo of
-    every size. Only the memos, the plans and the count maps outlive a chunk.
-    """
+    registry statistic a claim reads that fits it, of p, phi(p) or psi(p),
+    and psi's ranks, which one plain pass checks when the size ends. Over
+    the lemma words, words is the one WordMemo of every size. Only the
+    memos, the plans and the count maps outlive a chunk."""
     found = {c: (None, 0) for c in claims}
     plan = functools.cache(lambda key, size: _plan(key, size, None, words))
     for n in range(n_max + 1):
@@ -565,8 +562,7 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
         checks = [c for c in live if isinstance(c, Pointwise)]
         counts = {t: Counter() for c in live if isinstance(c, Tallied) for t in c.tallies(n)}
         involution = any(isinstance(c, Involution) for c in live)
-        memo = Memo(n) if words is None else None
-        size = 0
+        memo, size = Memo(n) if words is None else None, 0
         for chunk in _chunks(objects(n) if live else ()):
             columns = Columns(chunk, spent, plan, memo, size)
             if involution:
@@ -581,6 +577,7 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
             size += len(chunk)
             if not checks and not counts and not involution:
                 break
+        columns = None  # the last chunk's, which no conclusion reads
         counts = {keys: _keyed(tally, keys) for keys, tally in counts.items()}
         for c in (c for c in live if found[c][0] is None):
             witness, examined = None, size
@@ -588,7 +585,7 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
                 witness = c.conclude(n, counts)
             elif isinstance(c, Involution):
                 start = time.perf_counter()
-                i = next(memo.unfixed(), None)
+                i = next((i for i, j in enumerate(memo.psi) if j < 0 or memo.psi[j] != i), None)
                 _charge(spent, "psi.psi", 0, start)
                 if i is not None:
                     witness, examined = {"perm": next(itertools.islice(objects(n), i, None))}, i + 1

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tracemalloc
+from array import array
 from collections import Counter
 from operator import itemgetter
 
@@ -473,9 +474,45 @@ class TestMemo:
         assert len(memos) == 9 and set(memos[8]) == read and len(read) == 13
         for n, memo in enumerate(memos):
             assert all(a.typecode == "b" and len(a) == math.factorial(n) for a in memo.values())
-        # a value past a signed byte raises instead of wrapping
-        with pytest.raises(OverflowError):
-            equidist.Memo(3).statistic("inv", lambda p: 128)
+        # a value past a signed byte is not held: the columns compute it directly
+        assert equidist.Memo(3).statistic("inv", lambda p: 128) is None
+
+    def test_what_the_memo_cannot_hold_is_computed_directly(self, monkeypatch):
+        """maj planted to return 200 on (2, 3, 1), which no signed byte holds,
+        at both names callers look it up by, fails the four claims that read
+        maj at n = 3 with these witnesses, and no other claim changes."""
+        fields = itemgetter("status", "checked", "witness")
+        want = {c["claim"]: fields(c) for c in verify_suite(4)["claims"]}
+        want.update({
+            "mahonian inv~maj": ("fail", 10, {"n": 3, "value": [2], "counts": [2, 1]}),
+            "triple (fix,exc,maj)~(pix,lec,inv)~(aix,des,aid)": (
+                "fail", 10, {"n": 3, "tuple": "pix,lec,inv", "value": [0, 2, 2],
+                             "counts": [0, 1]}),
+            "rmaj:1 = maj": ("fail", 8, {"perm": [2, 3, 1]}),
+            "(ides,rmaj:2)~(exc,maj)": ("fail", 10, {"n": 3, "value": [2, 2],
+                                                     "counts": [1, 0]}),
+        })
+        real, perm_only = stats.REGISTRY["maj"]
+
+        def planted(p):
+            return 200 if p == (2, 3, 1) else real(p)
+
+        monkeypatch.setattr(stats, "maj", planted)
+        monkeypatch.setitem(stats.REGISTRY, "maj", (planted, perm_only))
+        assert {c["claim"]: fields(c) for c in verify_suite(4)["claims"]} == want
+
+    def test_a_statistic_of_p_is_a_slice_of_the_memo(self):
+        """Over a chunk of S_n, a registry statistic of p is a slice of the
+        memo's array, and one of an image is gathered at the image's ranks."""
+        memo, perms = equidist.Memo(8), [*itertools.islice(all_permutations(8), 256)]
+        plan = functools.cache(lambda key, size: equidist._plan(key, size, None, None))
+        columns = equidist.Columns(perms, {}, plan, memo, 0)
+        des = columns["des"]
+        assert isinstance(des, array) and des.typecode == "b"
+        assert des == memo["des"][:256] and list(des) == [*map(stats.des, perms)]
+        phi_des = columns["phi.des"]
+        assert type(phi_des) is list
+        assert phi_des == [stats.des(bijections.phi(p)) for p in perms]
 
     @pytest.mark.parametrize("suite, calls", [("all", 874), ("kratt", 197)])
     def test_avoiders_read_psi_off_the_psi_column(self, monkeypatch, suite, calls):
