@@ -14,10 +14,10 @@ Memo computes each registry statistic in one pass over the size, read as
 a slice for the objects and by rank for their images (what it cannot hold
 is computed directly), and holds psi as a map of ranks, from which the
 involution claim is decided once per size. A row claim is an expression
-over the columns, compiled once per choice of inserted letters and
-checked at C level. Over the lemma words, a WordMemo computes f(k, t)
-once per pair, keeping the images that lemma 6 computes until the rows of
-the next size take them out."""
+over the columns, compiled once and checked at C level per choice of
+inserted letters, bound as a chunk reads it. Over the lemma words, a
+WordMemo computes f(k, t) once per pair, keeping the images that lemma 6
+computes until the rows of the next size take them out."""
 from __future__ import annotations
 
 import functools
@@ -204,7 +204,7 @@ class Columns(dict):
         self.spent, self.plan, self.memo, self.start, self.ranks = spent, plan, memo, start, {}
         self.size = len(objects[0])
         self.domains = dict.fromkeys(("", "p"), range(len(objects)))
-        self.chosen = {"": [((), self.domains[""])]}  # one choice: the whole chunk
+        self.chosen = {"": [({}, self.domains[""])]}  # one choice: the whole chunk
 
     def lacking(self, image: str) -> list:
         """The letters of _LETTERS that some word of image lacks, in order."""
@@ -212,18 +212,18 @@ class Columns(dict):
         return [x for x in _LETTERS if x not in common]
 
     def choices(self, over: str) -> list:
-        """(slot, rows) for each choice of the letters that an insertion path
-        such as "f{l}.f{k}" names and some row's word lacks, in order: slot's
-        (name, letter) pairs, and the domain of the path with them put in."""
+        """(letters, rows) for each choice of the letters that an insertion
+        path such as "f{l}.f{k}" names and some row's word lacks, in order:
+        the letters by name, and the domain of the path with them put in."""
         if over not in self.chosen:
-            slots, parts = [()], over.split(".")
+            chosen, parts = [{}], over.split(".")
             for i, part in enumerate(parts):
                 name = part[part.index("{") + 1:-1]
-                slots = [(*slot, (name, x)) for slot in slots
-                         for x in self.lacking(_key(".".join(parts[:i]), slot))]
-            for slot in slots:
-                self[_key(over, slot)]  # which records the domain
-            self.chosen[over] = [(slot, self.domains[_key(over, slot)]) for slot in slots]
+                chosen = [{**letters, name: x} for letters in chosen
+                          for x in self.lacking(".".join(parts[:i]).format_map(letters))]
+            for letters in chosen:
+                self[over.format_map(letters)]  # which records the domain
+            self.chosen[over] = [(c, self.domains[over.format_map(c)]) for c in chosen]
         return self.chosen[over]
 
     def index(self, image: str) -> list[int] | None:
@@ -303,15 +303,16 @@ def _count(counts: Counter, columns: Columns, keys: Keys) -> None:
 
 
 def _keyed(counts: Counter, keys: Keys) -> dict:
-    """The count map {value tuple: count} of what _count counted."""
-    return {(v,): c for v, c in counts.items()} if len(keys) == 1 else dict(counts)
+    """The count map {value tuple: count} of what _count counted: counts itself but for one key."""
+    return {(v,): c for v, c in counts.items()} if len(keys) == 1 else counts
 
 
 def joint_distribution(perms: Iterable[Word], names) -> dict[tuple, int]:
     """The joint distribution of the named statistics over perms, any words
-    of distinct letters: a count map {value tuple: count}. Every rmaj:r
-    named is read off one rawlings profile per word, cut at the largest r:
-    O(n r) per word."""
+    of distinct letters: a count map {value tuple: count}, for several names
+    the Counter that counted them (0 at a value tuple that never occurs).
+    Every rmaj:r named is read off one rawlings profile per word, cut at the
+    largest r: O(n r) per word."""
     names = tuple(names)
     for name in names:  # Columns would also read other keys, and rmaj:0 as rmaj:n
         stats.resolve_statistic(name)
@@ -342,12 +343,13 @@ class Pointwise(NamedTuple):
     k outside f(l, p); "": none, one choice that covers the chunk). holds is
     a key with the row's letters put in ("f{k}.des" is des(f(k, p))), a
     letter's name, an int, or (op, *args), op mapped at C level over its
-    arguments' values on the rows of one choice; an implication (le, a, b)
-    reads b on a choice only where a holds on one of its rows. The witness
-    is the smallest failing (row, choice): the first object in enumeration
-    order (over S_n the lexicographically smallest at the smallest failing
-    size; a lemma word shortest first, each length in _words order), then
-    its smallest letters; shown lists its fields, each a key or keys."""
+    arguments' values on the rows of one choice, compiled once and read with
+    that choice's letters; an implication (le, a, b) reads b on a choice
+    only where a holds on one of its rows. The witness is the smallest
+    failing (row, choice): the first object in enumeration order (over S_n
+    the lexicographically smallest at the smallest failing size; a lemma
+    word shortest first, each length in _words order), then its smallest
+    letters; shown lists its fields, each a key or keys."""
 
     label: str
     suite: str
@@ -360,17 +362,16 @@ class Pointwise(NamedTuple):
 
     def failure(self, columns: Columns) -> tuple | None:
         """(row, witness) of the chunk's first failing row, or None."""
-        first = None
-        for slot, rows in columns.choices(self.over):
-            failing = map(not_, _compiled(self.holds, slot)(columns, rows))
-            i = next(itertools.compress(rows, failing), None)
+        first, holds = None, _compiled(self.holds)
+        for letters, rows in columns.choices(self.over):
+            i = next(itertools.compress(rows, map(not_, holds(columns, rows, letters))), None)
             if i is not None and (first is None or i < first[0]):
-                first = i, slot
+                first = i, letters
         if first is None:
             return None
-        i, slot = first
-        return i, {field: tuple(next(_compiled(k, slot)(columns, [i])) for k in keys)
-                   if isinstance(keys, tuple) else next(_compiled(keys, slot)(columns, [i]))
+        i, letters = first
+        return i, {field: tuple(next(_compiled(k)(columns, [i], letters)) for k in keys)
+                   if isinstance(keys, tuple) else next(_compiled(keys)(columns, [i], letters))
                    for field, keys in self.shown}
 
 
@@ -397,27 +398,28 @@ class Involution(NamedTuple):
     n_min: int = 0
 
 
-#: a template with a slot's (name, letter) pairs put in: "f3.des" of "f{k}.des", (("k", 3),)
-_key = functools.cache(lambda template, slot: template.format(**dict(slot)))
-
-
 @functools.cache
-def _compiled(expr, slot: tuple) -> Callable:
-    """A Pointwise expression with the letters of a slot put in, as a
-    function of (columns, rows): its values over those rows of the chunk."""
-    expr = dict(slot).get(expr, expr) if isinstance(expr, str) else expr
+def _compiled(expr) -> Callable:
+    """A Pointwise expression as a function of (columns, rows, letters): its
+    values over those rows of the chunk, with a choice's letters put in. A
+    letter's name reads as its letter, a key template as its key, formatted
+    at the read ("f{k}.des" as "f3.des" where letters is {"k": 3}). One
+    function per expression, so the cache holds the sub-expressions of CLAIMS."""
+    if isinstance(expr, str) and "{" in expr:
+        return lambda columns, rows, letters: columns.at(expr.format_map(letters), rows)
     if isinstance(expr, str):
-        return lambda columns, rows, key=_key(expr, slot): columns.at(key, rows)
+        return lambda columns, rows, letters: (itertools.repeat(letters[expr]) if expr in letters
+                                               else columns.at(expr, rows))
     if isinstance(expr, int):
-        return lambda columns, rows: itertools.repeat(expr)
-    op, args = expr[0], [_compiled(arg, slot) for arg in expr[1:]]
+        return lambda columns, rows, letters: itertools.repeat(expr)
+    op, args = expr[0], [_compiled(arg) for arg in expr[1:]]
     if op is not le:
-        return lambda columns, rows: map(op, *[arg(columns, rows) for arg in args])
+        return lambda columns, rows, letters: map(op, *[a(columns, rows, letters) for a in args])
     premise, then = args
 
-    def implies(columns, rows):
-        holds = [*premise(columns, rows)]
-        return map(le, holds, then(columns, rows)) if any(holds) else map(not_, holds)
+    def implies(columns, rows, letters):
+        holds = [*premise(columns, rows, letters)]
+        return map(le, holds, then(columns, rows, letters)) if any(holds) else map(not_, holds)
 
     return implies
 

@@ -4,10 +4,13 @@ import json
 import math
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from collections import Counter
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from helpers import all_perms, words_on
@@ -603,6 +606,33 @@ class TestMemo:
                 tracemalloc.stop()
             assert peak <= 3 * 2**20
             assert lemmas_pass(report) is not planted
+
+    def test_a_run_keeps_nothing_per_choice_of_letters(self):
+        """What a fresh interpreter still holds after verify_suite(0) and a
+        gc.collect(), traced from just before the run: the compiled
+        expressions, at most one per sub-expression of a row claim (its
+        expression's nodes and its witness keys), and nothing per choice of
+        the letters a lemma inserts."""
+        code = ("import gc, sys, tracemalloc; sys.path.insert(0, sys.argv[1]); "
+                "from permstat import equidist; tracemalloc.start(); equidist.verify_suite(0); "
+                "gc.collect(); print(tracemalloc.get_traced_memory()[0], "
+                "equidist._compiled.cache_info().currsize)")
+        src = Path(equidist.__file__).resolve().parent.parent
+        out = subprocess.run([sys.executable, "-c", code, str(src)],
+                             capture_output=True, text=True, check=True).stdout
+        retained, compiled = map(int, out.split())
+
+        def nodes(expr):
+            yield expr
+            for arg in expr[1:] if isinstance(expr, tuple) else ():
+                yield from nodes(arg)
+
+        rows = [c for c in equidist.CLAIMS if isinstance(c, equidist.Pointwise)]
+        parts = {e for c in rows for e in nodes(c.holds)}
+        parts |= {k for c in rows for _, keys in c.shown
+                  for k in (keys if isinstance(keys, tuple) else (keys,))}
+        assert retained < 160 * 2**10
+        assert compiled <= len(parts)
 
     @pytest.mark.parametrize("chunk", [32, 256])
     def test_an_insertion_counts_the_words_that_lack_its_letter(self, monkeypatch, chunk):
