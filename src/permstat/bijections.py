@@ -10,9 +10,8 @@ surgery. Rule a changes nothing, so a walk of phi or phi_inverse starts
 where the rule-a steps of the walk before it end: phi finds by one
 bisection how many of them the next letter shares. On the decreasing word
 the walks of phi take 2n steps in all, not about n^2/4. The surgery
-records nothing: f_insert and phi_with_traces read an insertion's rules off
-the tree first, so a traced insertion walks twice and skips no run;
-f_insert is one step of phi_with_traces's fold on the tree of t. psi
+records the rules it fires when asked: phi_with_traces is phi's own fold,
+and f_insert one step of it on the tree of t. psi
 composes the mirrors of a chain of letter sets, read off the left-to-right
 maxima, into one relabeling. The tests keep the tuple forms.
 """
@@ -55,7 +54,7 @@ def _tree(w: Word) -> tuple[list, list[int]]:
     return val, kids
 
 
-def _insert(val: list, kids: list[int], first: int) -> None:
+def _insert(val: list, kids: list[int], first: int, traces: list | None = None) -> None:
     """Insert the childless nodes first, first + 1, ... in turn, each v
     holding k = val[v], by the rules of f. At the node m in slot s: d puts v
     there with the subtree as its right child; b moves beta to m's empty
@@ -65,7 +64,8 @@ def _insert(val: list, kids: list[int], first: int) -> None:
     run holds the nodes of the last walk's rule-a prefix (see phi). The walk
     of k drops those above k, starts in the left slot of the last one left
     (at the root if none is), and appends its own rule-a nodes up to its
-    first other step.
+    first other step. With traces, each insertion appends to it the rules
+    it fired, the nodes left in run counting as its leading "a"s.
     """
     run: list[int] = []
     for v in range(first, len(val)):
@@ -74,51 +74,36 @@ def _insert(val: list, kids: list[int], first: int) -> None:
             del run[bisect_left(run, k, key=val.__getitem__):]
         s = 2 * run[-1] if run else 1
         grow = True
+        rules = None if traces is None else ["a"] * len(run)
         while True:
             m = kids[s]
-            if not m:  # base
+            if not m:
+                rule = "base"
                 kids[s] = v
                 break
-            if k < val[m]:  # rule d
+            if k < val[m]:
+                rule = "d"
                 kids[2 * v + 1] = m
                 kids[s] = v
                 break
             s = 2 * m
             alpha, beta = kids[s], kids[s + 1]
-            if not alpha:  # rule b
+            if not alpha:
+                rule = "b"
                 kids[s], kids[s + 1] = beta, 0
                 grow = False
-            elif beta:  # rule a
+            elif beta:
+                rule = "a"
                 if grow:
                     run.append(m)
-            else:  # rule c
+            else:
+                rule = "c"
                 kids[s], kids[s + 1] = v, alpha
                 break
-
-
-def _walk(val: list, kids: list[int], k: int) -> tuple[str, ...]:
-    """The rules that inserting k would fire, read off the tree without
-    changing it. Rule b would move beta into m's left slot before going on
-    there, so the walk goes on in beta itself.
-    """
-    rules = []
-    m = kids[1]
-    while m and val[m] < k:
-        alpha, beta = kids[2 * m], kids[2 * m + 1]
-        if alpha and not beta:
-            return (*rules, "c")
-        rules.append("a" if alpha else "b")
-        m = alpha or beta
-    return (*rules, "d" if m else "base")
-
-
-def _traced_insert(val: list, kids: list[int], k: int) -> tuple[str, ...]:
-    """Add k to the tree as a new node by the rules of f; return those rules."""
-    rules = _walk(val, kids, k)
-    val.append(k)
-    kids += (0, 0)
-    _insert(val, kids, len(val) - 1)
-    return rules
+            if rules is not None:
+                rules.append(rule)
+        if rules is not None:
+            traces.append((*rules, rule))
 
 
 def _uninsert(kids: list[int], count: int) -> list[int]:
@@ -189,15 +174,18 @@ def f_insert(k: int, t: Word) -> tuple[Word, tuple[str, ...]]:
     Rules b and c overlap when t is the single letter m; both yield k m, and
     b is the one recorded in the trace.
 
-    The image is the word of t's tree after one traced insertion, the
-    step that phi_with_traces folds.
+    The image and the rules are those of the surgery that phi folds, run
+    once on the tree of t.
     """
     if k in t:
         raise LetterCollision(k)
     _distinct(t)
     val, kids = _tree(t)
-    rules = _traced_insert(val, kids, k)
-    return _word(val, kids), rules
+    val.append(k)
+    kids += (0, 0)
+    traces: list[tuple[str, ...]] = []
+    _insert(val, kids, len(t) + 1, traces)
+    return _word(val, kids), traces[0]
 
 
 def f_uninsert(q: Word) -> tuple[int, Word]:
@@ -212,12 +200,14 @@ def f_uninsert(q: Word) -> tuple[int, Word]:
 
 def phi_with_traces(p: Word) -> tuple[Word, tuple[tuple[str, ...], ...]]:
     """phi(p) and the rules of each insertion, the leftmost letter's last:
-    "a" or "b" steps, then one closing "c", "d" or "base". Each insertion
-    walks twice (rules, then surgery) and skips no rule-a run."""
+    "a" or "b" steps, then one closing "c", "d" or "base", as phi's fold
+    records them."""
     _distinct(p)
-    val, kids = [BELOW], [0, 0]
-    traces = tuple(_traced_insert(val, kids, k) for k in reversed(p))
-    return _word(val, kids), traces
+    val = [BELOW, *reversed(p)]
+    kids = [0] * (2 * len(val))
+    traces: list[tuple[str, ...]] = []
+    _insert(val, kids, 1, traces)
+    return _word(val, kids), tuple(traces)
 
 
 def phi(p: Word) -> Word:

@@ -114,11 +114,14 @@ def oracle_f_uninsert(q):
     return k, (*head, *middle, *tail)
 
 
-def oracle_phi_with_traces(p):
+def oracle_phi_with_traces(p, insert=oracle_f_insert):
+    """f folded over p one letter at a time; each insertion starts afresh
+    from the whole word (or from the root of a fresh tree, with insert
+    bijections.f_insert) and skips no rule-a step."""
     out = ()
     traces = []
     for k in reversed(p):
-        out, trace = oracle_f_insert(k, out)
+        out, trace = insert(k, out)
         traces.append(trace)
     return out, tuple(traces)
 
@@ -345,6 +348,19 @@ class TestTreeAgainstTupleOracle:
         assert bijections.phi_with_traces(p) == oracle_phi_with_traces(p)
         assert bijections.phi_inverse(p) == oracle_phi_inverse(p)
 
+    def test_a_trace_is_the_surgery_that_ran(self, monkeypatch):
+        # _insert stores 1 where f_insert(6, 3524) asks for 6: the trace is
+        # rule d at the root 2, not the rules that inserting 6 would fire
+        real = bijections._insert
+
+        def planted(val, kids, first, *rest):
+            if val[first:] == [6]:
+                val[first] = 1
+            real(val, kids, first, *rest)
+
+        monkeypatch.setattr(bijections, "_insert", planted)
+        assert bijections.f_insert(6, (3, 5, 2, 4)) == ((1, 3, 5, 2, 4), ("d",))
+
     def test_huge_letters(self):
         assert bijections.f_insert(2, (1, 10**9)) == ((2, 10**9, 1), ("b", "d"))
         assert bijections.f_uninsert((2, 10**9, 1)) == (2, (1, 10**9))
@@ -362,18 +378,22 @@ class TestTreeAgainstTupleOracle:
 
 
 class TestSkippedRuleA:
-    """phi skips the rule-a steps an insertion shares with the one before
-    it; phi_with_traces reads each insertion's rules off the tree and walks
-    each insertion in full. The two must give the same image, and the traced
-    one the oracle's traces (test_sparse_words above checks the same on
+    """phi and phi_with_traces run one fold, which skips the rule-a steps an
+    insertion shares with the one before it. Its images and traces must
+    equal those of f_insert folded letter by letter, which skips none, and
+    the traces the oracle's (test_sparse_words above checks the same on
     random words)."""
 
     def test_sawtooth_words(self):
+        # and the decreasing words, where every insertion after the first
+        # shares a rule-a run with the one before it
         for n in range(0, 300, 7):
-            for w in (sawtooth(n), sawtooth(n)[::-1]):
-                assert bijections.phi(w) == bijections.phi_with_traces(w)[0]
+            for w in (sawtooth(n), sawtooth(n)[::-1], tuple(range(n, 0, -1))):
+                traced = bijections.phi_with_traces(w)
+                assert bijections.phi(w) == traced[0]
+                assert traced == oracle_phi_with_traces(w, bijections.f_insert)
                 if n <= 60:
-                    assert bijections.phi_with_traces(w) == oracle_phi_with_traces(w)
+                    assert traced == oracle_phi_with_traces(w)
 
     def test_decreasing_closed_form(self):
         assert phi_of_decreasing(8) == (8, 7, 5, 6, 3, 4, 1, 2)
@@ -385,8 +405,8 @@ class TestSkippedRuleA:
             assert bijections.phi(w) == bijections.phi_with_traces(w)[0] == image
 
     def test_decreasing_word_of_size_100000(self):
-        # the walks take 2n steps in all (phi_inverse: 2.5n), where
-        # phi_with_traces walks about n^2/4 twice
+        # the walks take 2n steps in all (phi_inverse: 2.5n), where a fold
+        # that skips no rule-a step walks about n^2/4
         w = tuple(range(100_000, 0, -1))
         image = bijections.phi(w)
         assert image == phi_of_decreasing(100_000)

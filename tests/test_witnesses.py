@@ -212,8 +212,8 @@ def test_the_lemma_suites_check_the_surgery_that_phi_folds(monkeypatch):
     # 2413 alone, so f(5, 2413) = 52413 where it should be 54213
     real = bijections._insert
 
-    def planted(val, kids, first):
-        real(val, kids, first)
+    def planted(val, kids, first, *rest):
+        real(val, kids, first, *rest)
         if first == len(val) - 1 and val[1:] == [2, 4, 1, 3, 5]:
             val[1], val[2] = val[2], val[1]
 
