@@ -13,11 +13,10 @@ which _plan reads off the key once per key and size of a run. Over S_n, a
 Memo computes each registry statistic in one pass over the size, read as
 a slice for the objects and by rank for their images (what it cannot hold
 is computed directly), and holds psi as a map of ranks, from which the
-involution claim is decided once per size. A row claim is an expression
-over the columns, compiled once and checked at C level per choice of
-inserted letters, bound as a chunk reads it. Over the lemma words, a
-WordMemo computes f(k, t) once per pair, keeping the images that lemma 6
-computes until the rows of the next size take them out."""
+involution claim is decided once per size. A row claim is an expression,
+compiled once and checked at C level over one table: the chunk, or its
+lemma words' rows (w, k) or (sigma, l, k), whose letters are columns too.
+A WordMemo computes each f(k, t) of the lemma run once."""
 from __future__ import annotations
 
 import functools
@@ -136,95 +135,98 @@ class Memo(dict):
 
 
 class WordMemo(dict):
-    """The images f(k, t) of one lemma run, per letter k a dict t -> f(k, t),
-    so that f(k, t) runs once per pair: lemma 6 inserts k into
-    t = f(l, sigma), the next size's row whose own f{k} column comes later.
-    A nested column (f5.f3) keeps f(3, t) in self[3], and at the next size
-    row t's f3 column takes it out. With l = 8, t is no lemma word, and
-    nothing is kept."""
+    """The images of one lemma run by pair, (k, t) -> f(k, t): lemma 6's
+    column fl.fk keeps f(k, t) for t = f(l, sigma) where t is a lemma word
+    (l in LEMMA_ALPHABET), and at the next size the fk column of the pair
+    (t, k) takes it out, so f(k, t) runs once per pair."""
 
-    def __init__(self):
-        super().__init__((k, {}) for k in _LETTERS)
+    def inserting(self, f: Callable, outer: bool) -> Callable:
+        """f over (k, t), kept where outer (t = f(l, sigma)), else taken out."""
+        if not outer:
+            return lambda k, t: self.pop((k, t), None) or f(k, t)
+        return lambda k, t: self.setdefault((k, t), f(k, t)) if max(t) in LEMMA_ALPHABET else f(k, t)
 
-    def inserting(self, k: int, f: Callable, outer: int | None) -> Callable:
-        """f(k, .) over a column of the words f(outer, sigma), or of the lemma
-        words where outer is None, kept or taken out as above."""
-        kept = self[k]
-        if outer is None:
-            return lambda t: kept.pop(t, None) or f(t)
-        return (lambda t: kept.setdefault(t, f(t))) if outer in LEMMA_ALPHABET else f
+
+#: the insertions a key names: fk is f(k, w), gk is k w, fl and gl put in l
+_INSERTIONS = ("fk", "gk", "fl", "gl")
 
 
 def _plan(key: str, size: int, top: int | None, words: WordMemo | None) -> tuple:
     """How a column of key is made over objects of one size: (image, name,
-    fn, test), fn mapped over the words of the column image ("" for the
-    objects) where test, if any, passes, and fn None keeping those words.
-    A key names a value of w ("inv", "psi", "rmaj:2", "f3" is f(3, w), "g3"
-    is 3 w, "avoider321" is w itself) or of an image ("phi.aid" is
-    aid(phi(w)), "f5.f3.des" is des(f(3, f(5, w)))). An insertion keeps
-    the words that lack its letter, an avoider those that avoid its
-    pattern. rmaj:r is one itemgetter (len on the empty word's profile ())
-    over the image "rawlings" of profiles rawlings(w, None, top) = (rmaj:1,
-    ..., rmaj:min(top, size)), whole where top is None; r is cut at size,
-    so no key reads it under an insertion. With words, f{k} keeps or takes
-    out its images. The functions are looked up on stats and bijections."""
+    fn, test, letters), fn mapped over the words of the column image ("" for
+    the objects) where test, if any, passes (fn None keeps those words), an
+    insertion's fn over its letter's column too; letters are those the key
+    puts in ("lk" for "fl.fk.aix"). A key names a value of w ("inv", "gk"
+    is k w, "avoider321" is w where it avoids 321) or of an image ("phi.aid"
+    is aid(phi(w))). rmaj:r is one itemgetter (len on ()) over the profiles
+    rawlings(w, None, top), cut at size. With words, fk and fl.fk take out
+    or keep their images. Functions are looked up on stats and bijections."""
     image, _, name = key.rpartition(".")
+    letters = "".join(part[1] for part in key.split(".") if part in _INSERTIONS)
     if name.startswith("rmaj:"):
         r = size if name == "rmaj:n" else min(int(name[5:]), size)
-        return key[:-len(name)] + "rawlings", name, itemgetter(r - 1) if size else len, None
+        return key[:-len(name)] + "rawlings", name, itemgetter(r - 1) if size else len, None, ""
     if name in ("avoider321", "avoider312"):
-        return image, name, None, lambda w, pattern=name[-3:]: bijections.avoids(w, pattern)
-    if name[0] in "fg" and name[1:].isdigit():
-        k = int(name[1:])
-        fn = (lambda w: (k,) + w) if name[0] == "g" else lambda w: bijections.f_insert(k, w)[0]
+        return image, name, None, lambda w, pattern=name[-3:]: bijections.avoids(w, pattern), ""
+    if name in _INSERTIONS:
+        fn = (lambda k, w: (k,) + w) if name[0] == "g" else lambda k, w: bijections.f_insert(k, w)[0]
         if words is not None and name[0] == "f":
-            fn = words.inserting(k, fn, int(image.rpartition(".")[2][1:]) if image else None)
-        return image, name, fn, lambda w: k not in w
+            fn = words.inserting(fn, bool(image))
+        return image, name, fn, None, letters
     if name == "rawlings":
-        return image, name, lambda w: stats.rawlings(w, None, top), None
+        return image, name, lambda w: stats.rawlings(w, None, top), None, ""
     fn = {"|Inv_2|": _inv2, "lrmax": left_to_right_maxima}.get(name)
-    return image, name, fn or getattr(stats, name, None) or getattr(bijections, name), None
+    return image, name, fn or getattr(stats, name, None) or getattr(bijections, name), None, letters
 
 
 class Columns(dict):
-    """The values the claims read over a chunk of objects of one size, per
-    key a column computed on first use as _plan's plan(key, size) says; "p"
-    is the chunk itself. domains maps every column to its rows, those of
-    its image or, where its plan has a test, those that pass it; at reads
-    a column on some of them. A column over an avoider reads the objects'
-    own column where the chunk has it. spent maps each key to (objects,
-    seconds), objects counting its rows, seconds the test's too. With a
-    Memo the objects are S_n from rank start on: a registry statistic the
-    memo holds is, of p, a slice of its array and, of an image whose words
-    all have ranks (held in ranks), read at those. Else it is computed."""
+    """The values the claims read over a table of rows of one size: per key
+    a column computed on first use as plan(key, size) says, "p" holding the
+    rows' words. domains maps every column to its rows, those of its image
+    or, where its plan has a test, those that pass it. spent maps each key
+    to (objects, seconds), objects counting its rows, seconds the test's
+    too. With a Memo the rows are S_n from rank start on: a registry
+    statistic the memo holds is, of p, a slice of its array and, of an image
+    whose words all have ranks, read at those. origin maps each row to its
+    object in the chunk; in a table of pairs or triples, links maps the
+    letters a key puts in to the parent's rows that hold its value."""
 
     def __init__(self, objects: list, spent: dict, plan: Callable,
                  memo: Memo | None = None, start: int = 0):
         super().__init__(p=objects)
         self.spent, self.plan, self.memo, self.start, self.ranks = spent, plan, memo, start, {}
-        self.size = len(objects[0])
+        self.size = len(objects[0]) if objects else 0
         self.domains = dict.fromkeys(("", "p"), range(len(objects)))
-        self.chosen = {"": [({}, self.domains[""])]}  # one choice: the whole chunk
+        self.origin, self.parent, self.links = self.domains[""], None, {}
 
-    def lacking(self, image: str) -> list:
-        """The letters of _LETTERS that some word of image lacks, in order."""
-        common = set(_LETTERS).intersection(*self[image or "p"])
-        return [x for x in _LETTERS if x not in common]
+    def _linked(self, links: dict, **columns) -> Columns:
+        """A table of self's rows links[""], with columns, linked to self."""
+        up = links[""]
+        table = Columns([*map(self["p"].__getitem__, up)], self.spent, self.plan)
+        table.update(columns)
+        table.domains.update(dict.fromkeys(columns, table.domains[""]))
+        table.origin, table.parent, table.links = [*map(self.origin.__getitem__, up)], self, links
+        return table
 
-    def choices(self, over: str) -> list:
-        """(letters, rows) for each choice of the letters that an insertion
-        path such as "f{l}.f{k}" names and some row's word lacks, in order:
-        the letters by name, and the domain of the path with them put in."""
-        if over not in self.chosen:
-            chosen, parts = [{}], over.split(".")
-            for i, part in enumerate(parts):
-                name = part[part.index("{") + 1:-1]
-                chosen = [{**letters, name: x} for letters in chosen
-                          for x in self.lacking(".".join(parts[:i]).format_map(letters))]
-            for letters in chosen:
-                self[over.format_map(letters)]  # which records the domain
-            self.chosen[over] = [(c, self.domains[over.format_map(c)]) for c in chosen]
-        return self.chosen[over]
+    def pairs(self) -> Columns:
+        """A row (w, k) per word w of the chunk and letter k of _LETTERS it lacks."""
+        up = [i for i, w in enumerate(self["p"]) for k in _LETTERS if k not in w]
+        return self._linked({"": up}, k=[k for w in self["p"] for k in _LETTERS if k not in w])
+
+    def triples(self, over: str) -> Columns:
+        """Over pairs, a row (sigma, l, k) per pair of pair rows (sigma, l),
+        (sigma, k) where k is outside f(l, sigma) ("fl", the pairs' fk) or
+        l sigma ("gl"), the actual image; by word, then l, then k."""
+        image, letters, up, across = self[over[0] + "k"], self["k"], [], []
+        for _, word in itertools.groupby(range(len(letters)), self.origin.__getitem__):
+            word = [*word]
+            for j in word:
+                ks = [i for i in word if letters[i] not in image[j]]
+                up += [j] * len(ks)
+                across += ks
+        return self._linked({"": up, "k": across}, l=[*map(letters.__getitem__, up)],
+                            k=[*map(letters.__getitem__, across)],
+                            **{over: [*map(image.__getitem__, up)]})
 
     def index(self, image: str) -> list[int] | None:
         """The ranks of image's words, as Memo.ranks gives them."""
@@ -242,7 +244,11 @@ class Columns(dict):
         return map(column.__getitem__, rows)
 
     def __missing__(self, key: str) -> list | array:
-        image, name, fn, test = self.plan(key, self.size)
+        image, name, fn, test, letters = self.plan(key, self.size)
+        if letters in self.links:  # the value of a linked row, computed there
+            self.domains[key] = self.domains[""]
+            self[key] = [*map(self.parent[key].__getitem__, self.links[letters])]
+            return self[key]
         try:
             words = self[image or "p"]
         except WordNotPermutation:  # a profile names the family, not rmaj:r
@@ -261,8 +267,12 @@ class Columns(dict):
             column = values[self.start:self.start + len(words)]
         elif values is not None and self.index(image) is not None:
             column = [*map(values.__getitem__, self.ranks[image])]
+        elif fn is None:
+            column = words
+        elif name in _INSERTIONS:  # the letter it puts in, then the word
+            column = [*map(fn, self[letters[-1]], words)]
         else:
-            column = words if fn is None else [*map(fn, words)]
+            column = [*map(fn, words)]
         _charge(self.spent, key, len(words), start)
         self[key] = column
         return column
@@ -286,11 +296,19 @@ def _charge(spent: dict, key: str, objects: int, start: float) -> None:
     spent[key] = was + objects, seconds + time.perf_counter() - start
 
 
-def _chunks(objects: Iterable[Word]) -> Iterator[list]:
-    """The objects in order, in lists of at most CHUNK objects of one size:
-    a new list starts wherever the size changes."""
+def _chunks(objects: Iterable[Word], rows: int = 1) -> Iterator[list]:
+    """The objects in order, in lists of CHUNK // rows objects (one at least)
+    of one size: a new list starts wherever the size changes."""
+    width = max(1, CHUNK // rows)
     for _, run in itertools.groupby(objects, len):
-        yield from iter(lambda: list(itertools.islice(run, CHUNK)), [])
+        yield from iter(lambda: list(itertools.islice(run, width)), [])
+
+
+def _table(tables: dict, over: str) -> Columns:
+    """The chunk's table that over names, made from tables[""] at its first read."""
+    if over not in tables:
+        tables[over] = tables[""].pairs() if over == "p" else _table(tables, "p").triples(over)
+    return tables[over]
 
 
 def _count(counts: Counter, columns: Columns, keys: Keys) -> None:
@@ -337,19 +355,15 @@ def distributions_equal(a: dict, b: dict) -> tuple[bool, tuple | None]:
 # -- claims -----------------------------------------------------------------------
 
 class Pointwise(NamedTuple):
-    """holds is true on every row of each size from n_min to n_max: an object p
-    with a choice of the letters that the insertion path over puts in
-    ("f{k}": each k of _LETTERS outside p; "f{l}.f{k}": each l outside p and
-    k outside f(l, p); "": none, one choice that covers the chunk). holds is
-    a key with the row's letters put in ("f{k}.des" is des(f(k, p))), a
-    letter's name, an int, or (op, *args), op mapped at C level over its
-    arguments' values on the rows of one choice, compiled once and read with
-    that choice's letters; an implication (le, a, b) reads b on a choice
-    only where a holds on one of its rows. The witness is the smallest
-    failing (row, choice): the first object in enumeration order (over S_n
-    the lexicographically smallest at the smallest failing size; a lemma
-    word shortest first, each length in _words order), then its smallest
-    letters; shown lists its fields, each a key or keys."""
+    """holds is true on every row of each size from n_min to n_max, in the
+    table over names (Columns.pairs, Columns.triples): "" the objects, "p"
+    the pairs (w, k), "fl" or "gl" the triples. holds is a key, an int, or
+    (op, *args), op mapped at C level over its arguments' values, compiled
+    once and called once per table; an implication (le, a, b) reads b only
+    where a holds on some row. The witness is the first failing row: the
+    first object in enumeration order (a lemma word shortest first, each
+    length in _words order), then its smallest letters; shown lists its
+    fields, each a key or keys."""
 
     label: str
     suite: str
@@ -361,18 +375,14 @@ class Pointwise(NamedTuple):
     n_range: str | None = None
 
     def failure(self, columns: Columns) -> tuple | None:
-        """(row, witness) of the chunk's first failing row, or None."""
-        first, holds = None, _compiled(self.holds)
-        for letters, rows in columns.choices(self.over):
-            i = next(itertools.compress(rows, map(not_, holds(columns, rows, letters))), None)
-            if i is not None and (first is None or i < first[0]):
-                first = i, letters
-        if first is None:
+        """(object, witness) of the table's first failing row, or None."""
+        rows = columns.domains[""]
+        i = next(itertools.compress(rows, map(not_, _compiled(self.holds)(columns, rows))), None)
+        if i is None:
             return None
-        i, letters = first
-        return i, {field: tuple(next(_compiled(k)(columns, [i], letters)) for k in keys)
-                   if isinstance(keys, tuple) else next(_compiled(keys)(columns, [i], letters))
-                   for field, keys in self.shown}
+        return columns.origin[i], {
+            field: tuple(next(columns.at(k, [i])) for k in keys) if isinstance(keys, tuple)
+            else next(columns.at(keys, [i])) for field, keys in self.shown}
 
 
 class Tallied(NamedTuple):
@@ -400,26 +410,21 @@ class Involution(NamedTuple):
 
 @functools.cache
 def _compiled(expr) -> Callable:
-    """A Pointwise expression as a function of (columns, rows, letters): its
-    values over those rows of the chunk, with a choice's letters put in. A
-    letter's name reads as its letter, a key template as its key, formatted
-    at the read ("f{k}.des" as "f3.des" where letters is {"k": 3}). One
-    function per expression, so the cache holds the sub-expressions of CLAIMS."""
-    if isinstance(expr, str) and "{" in expr:
-        return lambda columns, rows, letters: columns.at(expr.format_map(letters), rows)
+    """A Pointwise expression as a function of (columns, rows): its values
+    over those rows of the table. One function per expression, so the cache
+    holds the sub-expressions of CLAIMS."""
     if isinstance(expr, str):
-        return lambda columns, rows, letters: (itertools.repeat(letters[expr]) if expr in letters
-                                               else columns.at(expr, rows))
+        return lambda columns, rows: columns.at(expr, rows)
     if isinstance(expr, int):
-        return lambda columns, rows, letters: itertools.repeat(expr)
+        return lambda columns, rows: itertools.repeat(expr)
     op, args = expr[0], [_compiled(arg) for arg in expr[1:]]
     if op is not le:
-        return lambda columns, rows, letters: map(op, *[a(columns, rows, letters) for a in args])
+        return lambda columns, rows: map(op, *[a(columns, rows) for a in args])
     premise, then = args
 
-    def implies(columns, rows, letters):
-        holds = [*premise(columns, rows, letters)]
-        return map(le, holds, then(columns, rows, letters)) if any(holds) else map(not_, holds)
+    def implies(columns, rows):
+        holds = [*premise(columns, rows)]
+        return map(le, holds, then(columns, rows)) if any(holds) else map(not_, holds)
 
     return implies
 
@@ -482,10 +487,10 @@ _SIGMAS = f"sigma len<={_SIGMA_MAX_LEN} on {_ALPHABET_TEXT}, k,l<={_LETTERS[-1]}
 def _insertion_lemmas(ins: str, fixstat: str, eulstat: str) -> tuple[Pointwise, ...]:
     """Descent-count monotonicity and lemmas 4, 5, 6 for the insertion map
     ins ("f" or "g"): how (eulstat, fixstat) moves as letters are inserted."""
-    tag, suite, over = f"{ins} ({fixstat}, {eulstat})", f"lemmas-{ins}", f"{ins}{{k}}"
+    tag, suite, over = f"{ins} ({fixstat}, {eulstat})", f"lemmas-{ins}", "p"
     e, f = eulstat, fixstat
-    qe, qf = f"{ins}{{k}}.{e}", f"{ins}{{k}}.{f}"  # of q = ins(k, p)
-    te, tf = f"{ins}{{l}}.{qe}", f"{ins}{{l}}.{qf}"  # of ins(k, ins(l, p))
+    qe, qf = f"{ins}k.{e}", f"{ins}k.{f}"  # of q = ins(k, p)
+    te, tf = f"{ins}l.{qe}", f"{ins}l.{qf}"  # of ins(k, ins(l, p))
     word = ("k", "k"), ("word", "p")
     return (
         Pointwise(f"monotonicity {tag}", suite, (ge, qe, e), word, over, n_range=_WORDS),
@@ -495,7 +500,7 @@ def _insertion_lemmas(ins: str, fixstat: str, eulstat: str) -> tuple[Pointwise, 
         Pointwise(f"lemma5 {tag}", suite, (le, (eq, f, 0), (and_, (eq, qe, e), (eq, qf, 1))),
                   (*word, ("after", (qe, qf))), over, n_range=_WORDS),
         Pointwise(f"lemma6 {tag}", suite, (le, (eq, tf, 0), (eq, te, (add, qe, 1))),
-                  (("k", "k"), ("l", "l"), ("sigma", "p")), f"{ins}{{l}}.{over}",
+                  (("k", "k"), ("l", "l"), ("sigma", "p")), f"{ins}l",
                   n_max=_SIGMA_MAX_LEN, n_range=_SIGMAS),
     )
 
@@ -517,8 +522,8 @@ CLAIMS = (
     _equidistributed("triple (fix,exc,maj)~(pix,lec,inv)~(aix,des,aid)", "theorem1",
                      ("fix", "exc", "maj"), lambda n: _TRIPLE, tag="tuple"),
     Pointwise("lemma2 aid f(k,t) = aid t + |t<k|", "lemmas-f",  # |t<k|: k's place in sorted(t)
-              (eq, "f{k}.aid", (add, "aid", (bisect_left, (sorted, "p"), "k"))),
-              (("k", "k"), ("word", "p")), "f{k}", n_range=_WORDS),
+              (eq, "fk.aid", (add, "aid", (bisect_left, (sorted, "p"), "k"))),
+              (("k", "k"), ("word", "p")), "p", n_range=_WORDS),
     *_insertion_lemmas("f", "aix", "des"),
     *_insertion_lemmas("g", "pix", "lec"),
     Involution("psi involution", "psi"),
@@ -544,16 +549,15 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
          words: WordMemo | None = None) -> dict:
     """Check claims on the objects of sizes 0..n_max, enumerating those of
     each size once, in the order objects(n) yields them, in chunks whose
-    columns every claim reads, as the run's plans say: one _plan per key
-    and size, made afresh in each run and dropped with the size. A claim is
-    checked from its n_min, and up to its own n_max where it has one. spent
-    gathers the columns' costs. Returns claim -> (witness, checked), where
-    checked counts the objects examined up to the witness, or all of them.
-    Joint distributions stream into per-n count maps, one per distinct
-    tally. Over S_n, in lexicographic order, a Memo per n holds every
-    registry statistic a claim reads that fits it, of p, phi(p) or psi(p),
-    and psi's ranks, which one plain pass checks when the size ends. Over
-    the lemma words, words is the one WordMemo of every size. Only the
+    tables every claim reads, as the run's plans say: one _plan per key and
+    size, made afresh in each run. A chunk holds as many objects as keep
+    its widest table to CHUNK rows. A claim is checked from its n_min, and
+    up to its own n_max where it has one. spent gathers the columns' costs.
+    Returns claim -> (witness, checked), checked counting the objects
+    examined up to the witness, or all of them. Joint distributions stream
+    into per-n count maps, one per distinct tally. Over S_n a Memo per n
+    holds every registry statistic a claim reads that fits it, and psi's
+    ranks; over the lemma words, words is the run's WordMemo. Only the
     memos, the plans and the count maps outlive a chunk."""
     found = {c: (None, 0) for c in claims}
     plan = functools.cache(lambda key, size: _plan(key, size, None, words))
@@ -565,21 +569,23 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
         counts = {t: Counter() for c in live if isinstance(c, Tallied) for t in c.tallies(n)}
         involution = any(isinstance(c, Involution) for c in live)
         memo, size = Memo(n) if words is None else None, 0
-        for chunk in _chunks(objects(n) if live else ()):
-            columns = Columns(chunk, spent, plan, memo, size)
+        free = len(_LETTERS) - n  # a lemma word's pairs; a triple's k has one fewer
+        rows = max([1] + [free if c.over == "p" else free * (free - 1) for c in checks if c.over])
+        for chunk in _chunks(objects(n) if live else (), rows):
+            tables = {"": Columns(chunk, spent, plan, memo, size)}
             if involution:
-                columns.store_psi()
+                tables[""].store_psi()
             for c in checks:
-                failed = c.failure(columns)
+                failed = c.failure(_table(tables, c.over))
                 if failed:
                     found[c] = (failed[1], found[c][1] + size + failed[0] + 1)
             checks = [c for c in checks if found[c][0] is None]
             for keys, tally in counts.items():
-                _count(tally, columns, keys)
+                _count(tally, tables[""], keys)
             size += len(chunk)
             if not checks and not counts and not involution:
                 break
-        columns = None  # the last chunk's, which no conclusion reads
+        tables = None  # the last chunk's, which no conclusion reads
         counts = {keys: _keyed(tally, keys) for keys, tally in counts.items()}
         for c in (c for c in live if found[c][0] is None):
             witness, examined = None, size
@@ -618,15 +624,8 @@ def verify_suite(n_max: int, suite: str = "all") -> dict:
         for c in claims
         for witness, checked in [found[c]]
     ]
-    return {
-        "schema": 3,
-        "suite": suite,
-        "n_max": n_max,
-        "cap": size_cap(),
-        "python": sys.version.split()[0],
-        "seconds": round(time.perf_counter() - start, 3),
-        "passed": all(c["status"] == "pass" for c in claims),
-        "claims": claims,
-        "values": {k: {"objects": m, "seconds": round(s, 4)} for k, (m, s) in spent.items()},
-    }
+    return {"schema": 3, "suite": suite, "n_max": n_max, "cap": size_cap(),
+            "python": sys.version.split()[0], "seconds": round(time.perf_counter() - start, 3),
+            "passed": all(c["status"] == "pass" for c in claims), "claims": claims,
+            "values": {k: {"objects": m, "seconds": round(s, 4)} for k, (m, s) in spent.items()}}
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 from helpers import all_perms, words_on
-from test_witnesses import plant_statistic
+from test_witnesses import plant_insertion, plant_statistic
 
 from permstat import bijections, equidist, stats
 from permstat.cli import main
@@ -262,10 +262,6 @@ class TestVerifySuite:
         assert avoiders == 23
         assert values["avoider321"]["objects"] == values["avoider321.psi"]["objects"] == avoiders
         assert all(set(v) == {"objects", "seconds"} and v["seconds"] >= 0 for v in values.values())
-        # f3 covers the lemma words that lack the letter 3, and aid is
-        # computed only on those rows of f3
-        f3_aid = verify_suite(0, "lemmas-f")["values"]["f3.aid"]["objects"]
-        assert f3_aid == sum(1 for w in LEMMA_WORDS if 3 not in w)
 
     def test_pointwise_checked_stops_at_the_witness(self, monkeypatch):
         real = bijections.psi
@@ -323,19 +319,37 @@ class TestChunks:
         assert next(perms, None) is None
         assert joint_distribution(iter(all_permutations(7)), []) == {(): 5040}
 
-    @pytest.mark.parametrize("planted", [False, True])
+    #: f(5, 4137) planted to insert 5 into 7143: the 301st lemma word of
+    #: length 4 fails lemma2 and lemma4 at k = 5, and as sigma lemma 6 at
+    #: l = 5, k = 8, in a later chunk at every width
+    SIGMA, INSERTED = (4, 1, 3, 7), (7, 1, 4, 3)
+
+    @pytest.mark.parametrize("planted", [False, True, "f_insert"])
     def test_claims_do_not_depend_on_the_width(self, monkeypatch, planted):
-        if planted:  # the 601st permutation of S_6 lies in a later chunk at every width
+        if planted is True:  # the 601st permutation of S_6 lies in a later chunk at every width
             perm = list(all_permutations(6))[600]
             real = stats.maj
             monkeypatch.setattr(stats, "maj", lambda p: real(p) + (p == perm))
+        elif planted:
+            plant_insertion(monkeypatch, {(5, self.SIGMA): (5, self.INSERTED)})
         fields = itemgetter("claim", "status", "n_range", "checked", "witness")
         reports = []
         for chunk in (1, 7, 32, equidist.CHUNK):
             monkeypatch.setattr(equidist, "CHUNK", chunk)
             reports.append([fields(c) for c in verify_suite(6, "all")["claims"]])
         assert reports[1:] == reports[:1] * 3
-        assert any(status == "fail" for _, status, *_ in reports[0]) is planted
+        failed = {label: (checked, witness) for label, status, _, checked, witness in reports[0]
+                  if status == "fail"}
+        assert bool(failed) is bool(planted)
+        if planted == "f_insert":
+            word = LEMMA_WORDS.index(self.SIGMA) + 1
+            assert word == 561 and [w for w in LEMMA_WORDS if len(w) == 4].index(self.SIGMA) == 300
+            assert failed == {
+                "lemma2 aid f(k,t) = aid t + |t<k|": (word, {"k": 5, "word": [4, 1, 3, 7]}),
+                "lemma4 f (aix, des)": (
+                    word, {"k": 5, "word": [4, 1, 3, 7], "before": [1, 1], "after": [2, 2]}),
+                "lemma6 f (aix, des)": (word, {"k": 8, "l": 5, "sigma": [4, 1, 3, 7]}),
+            }
 
 
 class TestOneSizePerChunk:
@@ -555,8 +569,8 @@ class TestMemo:
         assert len(calls) == len(set(calls)) == 15898
 
     def test_insertions_are_planned_once_per_key_and_size(self, monkeypatch):
-        """WordMemo.inserting binds f(k, .) once per f{k} key and size of
-        the lemma run, whatever the width of a chunk."""
+        """WordMemo.inserting binds f over the pairs once per insertion key
+        (fk, fl.fk) and size of the lemma run, whatever the width of a chunk."""
         counts = []
         for chunk in (1, 32, 256):
             calls = []
@@ -567,13 +581,13 @@ class TestMemo:
             values = verify_suite(0)["values"]
             monkeypatch.undo()
             counts.append(len(calls))
-        inserting = [k for k in values if re.fullmatch(r"(f\d\.)?f\d", k)]  # f3, f5.f3
-        assert len(inserting) == 64
-        assert counts[0] == counts[1] == counts[2] <= 64 * (equidist.LEMMA_MAX_LEN + 1)
+        inserting = [k for k in values if re.fullmatch(r"(f[kl]\.)?f[kl]", k)]
+        assert inserting == ["fk", "fl.fk"]
+        assert counts[0] == counts[1] == counts[2] <= 2 * (equidist.LEMMA_MAX_LEN + 1)
 
     def test_a_clean_run_keeps_no_image(self, monkeypatch):
-        """Every image a nested column keeps is taken out by its row's own
-        f{k} column at the next size."""
+        """Every image the column fl.fk keeps is taken out by its pair's own
+        fk column at the next size."""
         memos = []
 
         class Recorded(equidist.WordMemo):
@@ -583,8 +597,7 @@ class TestMemo:
 
         monkeypatch.setattr(equidist, "WordMemo", Recorded)
         assert lemmas_pass(verify_suite(0))
-        assert len(memos) == 1 and set(memos[0]) == set(range(1, 9))
-        assert not any(memos[0].values())
+        assert len(memos) == 1 and memos[0] == {}
 
     def test_the_lemma_run_holds_little(self, monkeypatch):
         """What outlives a chunk of the lemma run (the word memo and the
@@ -611,8 +624,8 @@ class TestMemo:
         """What a fresh interpreter still holds after verify_suite(0) and a
         gc.collect(), traced from just before the run: the compiled
         expressions, at most one per sub-expression of a row claim (its
-        expression's nodes and its witness keys), and nothing per choice of
-        the letters a lemma inserts."""
+        expression's nodes and its witness keys), and nothing per letter
+        a lemma inserts."""
         code = ("import gc, sys, tracemalloc; sys.path.insert(0, sys.argv[1]); "
                 "from permstat import equidist; tracemalloc.start(); equidist.verify_suite(0); "
                 "gc.collect(); print(tracemalloc.get_traced_memory()[0], "
@@ -634,15 +647,24 @@ class TestMemo:
         assert retained < 160 * 2**10
         assert compiled <= len(parts)
 
-    @pytest.mark.parametrize("chunk", [32, 256])
-    def test_an_insertion_counts_the_words_that_lack_its_letter(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("chunk", [1, 7, 32, 256])
+    def test_the_lemma_tables_count_their_rows(self, monkeypatch, chunk):
+        """The report counts one row (t, k) per lemma word t and letter k
+        that t lacks, and one row (sigma, l, k) per word sigma of lemma 6,
+        letter l that sigma lacks and letter k that f(l, sigma) lacks,
+        whatever the width of a chunk; the statistics of the words are
+        computed once per word, not per row."""
+        pairs = [(t, k) for t in LEMMA_WORDS for k in range(1, 9) if k not in t]
+        triples = [(s, l, k) for s, l in pairs if len(s) <= equidist.LEMMA_MAX_LEN - 1
+                   for k in range(1, 9) if k not in (l, *s)]
+        assert (len(pairs), len(triples)) == (12279, 15890)
         monkeypatch.setattr(equidist, "CHUNK", chunk)
-        values = verify_suite(0)["values"]
-        for k in range(1, 9):
-            lacking = sum(1 for w in LEMMA_WORDS if k not in w)
-            assert lacking == (1237 if k <= 7 else 3620)
-            assert values[f"f{k}"]["objects"] == values[f"f{k}.aid"]["objects"] == lacking
-            assert values[f"g{k}"]["objects"] == values[f"g{k}.lec"]["objects"] == lacking
+        values = {k: v["objects"] for k, v in verify_suite(0)["values"].items()}
+        for key in ("fk", "fk.aid", "fk.des", "fk.aix", "gk", "gk.lec", "gk.pix"):
+            assert values[key] == len(pairs)
+        assert values["fl.fk"] == values["gl.gk"] == len(triples)
+        # and S_0's one permutation
+        assert values["aid"] == values["des"] == len(LEMMA_WORDS) + 1 == 3621
 
 
 def lemmas_pass(report):
