@@ -185,11 +185,10 @@ class Columns(dict):
     rows' words. domains maps every column to its rows, those of its image
     or, where its plan has a test, those that pass it. spent maps each key
     to (objects, seconds), objects counting its rows, seconds the test's
-    too. With a Memo the rows are S_n from rank start on: a registry
-    statistic the memo holds is, of p, a slice of its array and, of an image
-    whose words all have ranks, read at those. origin maps each row to its
-    object in the chunk; in a table of pairs or triples, links maps the
-    letters a key puts in to the parent's rows that hold its value."""
+    too. With a Memo the rows are S_n from rank start on, and a statistic
+    the memo holds is a slice of it, of p, or read at an image's ranks.
+    origin maps each row to its object in the chunk; in a table of pairs or
+    triples, links maps letters a key puts in to the parent's rows of it."""
 
     def __init__(self, objects: list, spent: dict, plan: Callable,
                  memo: Memo | None = None, start: int = 0):
@@ -235,18 +234,13 @@ class Columns(dict):
         return self.ranks[image]
 
     def at(self, key: str, rows: list) -> Iterator:
-        """key's values on rows, some of the rows its column covers."""
-        column, domain = self[key], self.domains[key]
-        if domain is rows:
-            return iter(column)
-        if not isinstance(domain, range):  # a column with a domain, read by row
-            column = dict(zip(domain, column))
-        return map(column.__getitem__, rows)
+        """key's values on all the table's rows or some; row claims read no domain."""
+        column = self[key]
+        return iter(column) if rows is self.domains[""] else map(column.__getitem__, rows)
 
     def __missing__(self, key: str) -> list | array:
         image, name, fn, test, letters = self.plan(key, self.size)
         if letters in self.links:  # the value of a linked row, computed there
-            self.domains[key] = self.domains[""]
             self[key] = [*map(self.parent[key].__getitem__, self.links[letters])]
             return self[key]
         try:
@@ -356,14 +350,13 @@ def distributions_equal(a: dict, b: dict) -> tuple[bool, tuple | None]:
 
 class Pointwise(NamedTuple):
     """holds is true on every row of each size from n_min to n_max, in the
-    table over names (Columns.pairs, Columns.triples): "" the objects, "p"
-    the pairs (w, k), "fl" or "gl" the triples. holds is a key, an int, or
-    (op, *args), op mapped at C level over its arguments' values, compiled
-    once and called once per table; an implication (le, a, b) reads b only
-    where a holds on some row. The witness is the first failing row: the
-    first object in enumeration order (a lemma word shortest first, each
-    length in _words order), then its smallest letters; shown lists its
-    fields, each a key or keys."""
+    table over names: "" the objects, "p" the pairs (w, k), "fl" or "gl" the
+    triples (Columns.pairs, triples). holds is a key, an int, or (op,
+    *args), op mapped at C level over its arguments' values, compiled once
+    and called once per table; an implication (le, a, b) reads b only where
+    a holds on some row. The witness is the first failing row: the first
+    object in enumeration order (lemma words shortest first), then its
+    smallest letters; shown lists its fields, each a key or keys."""
 
     label: str
     suite: str
@@ -624,8 +617,15 @@ def verify_suite(n_max: int, suite: str = "all") -> dict:
         for c in claims
         for witness, checked in [found[c]]
     ]
-    return {"schema": 3, "suite": suite, "n_max": n_max, "cap": size_cap(),
-            "python": sys.version.split()[0], "seconds": round(time.perf_counter() - start, 3),
-            "passed": all(c["status"] == "pass" for c in claims), "claims": claims,
-            "values": {k: {"objects": m, "seconds": round(s, 4)} for k, (m, s) in spent.items()}}
+    return {
+        "schema": 3,
+        "suite": suite,
+        "n_max": n_max,
+        "cap": size_cap(),
+        "python": sys.version.split()[0],
+        "seconds": round(time.perf_counter() - start, 3),
+        "passed": all(c["status"] == "pass" for c in claims),
+        "claims": claims,
+        "values": {k: {"objects": m, "seconds": round(s, 4)} for k, (m, s) in spent.items()},
+    }
 
