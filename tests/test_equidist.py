@@ -648,7 +648,7 @@ class TestMemo:
         assert compiled <= len(parts)
 
     @pytest.mark.parametrize("chunk", [1, 7, 32, 256])
-    def test_the_lemma_tables_count_their_rows(self, monkeypatch, chunk):
+    def test_an_insertion_counts_the_words_that_lack_its_letter(self, monkeypatch, chunk):
         """The report counts one row (t, k) per lemma word t and letter k
         that t lacks, and one row (sigma, l, k) per word sigma of lemma 6,
         letter l that sigma lacks and letter k that f(l, sigma) lacks,
