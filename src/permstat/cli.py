@@ -105,12 +105,15 @@ _SOURCES = {"all": None, "avoid321": "321", "avoid312": "312"}
 
 
 def cmd_table(args) -> int:
+    """Several names print from their rows as counted (count_rows): a bytes
+    row iterates and sorts as its tuple would, so none is decoded. One
+    name's few values print from joint_distribution's 1-tuples."""
     names = _names(args.stats)
     perms = equidist.all_permutations(args.n)
     pattern = _SOURCES[args.source]
     if pattern is not None:
         perms = (p for p in perms if bijections.avoids(p, pattern))
-    counts = joint_distribution(perms, names)
+    counts = (equidist.count_rows if len(names) > 1 else joint_distribution)(perms, names)
     values = sorted(counts)  # distinct, so sorting (value, count) pairs would order the same
     if args.format == "json":
         print(json.dumps({

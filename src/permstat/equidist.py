@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import sys
 import time
 from array import array
@@ -306,26 +307,43 @@ def _table(tables: dict, over: str) -> Columns:
 
 
 def _count(counts: Counter, columns: Columns, keys: Keys) -> None:
-    """Count the value tuples of keys over a chunk. One key is counted as
-    plain values, which _keyed turns into 1-tuples."""
+    """Count a chunk's rows of keys' values: one key's plain values, else a
+    bytes row per object, a byte per value (struct "B", which makes no
+    tuple). At the first row with a value outside 0..255 the map is
+    re-keyed as _keyed decodes it, and tuples are counted from that row on,
+    so a map never mixes bytes and tuples."""
     if len(keys) == 1:
         counts.update(columns[keys[0]])
+        return
+    values = [*map(columns.__getitem__, keys)]
+    if not keys:  # every object's row is empty
+        counts[b""] += len(columns["p"])
+    elif isinstance(next(iter(counts), b""), tuple):
+        counts.update(zip(*values))
     else:
-        counts.update(zip(*map(columns.__getitem__, keys)) if keys else [()] * len(columns["p"]))
+        each = [*map(iter, values)]
+        try:
+            counts.update(map(struct.Struct(f"{len(keys)}B").pack, *each))
+        except struct.error:  # update keeps the rows before the one pack refused
+            failed = min(map(len, values)) - sum(1 for _ in zip(*each)) - 1
+            rekeyed = _keyed(counts, keys)
+            counts.clear()
+            counts.update(rekeyed)
+            counts.update(itertools.islice(zip(*values), failed, None))
 
 
-def _keyed(counts: Counter, keys: Keys) -> dict:
-    """The count map {value tuple: count} of what _count counted: counts itself but for one key."""
-    return {(v,): c for v, c in counts.items()} if len(keys) == 1 else counts
+def _keyed(counts: Counter, keys: Keys) -> Counter:
+    """The count map {value tuple: count} of what _count counted: a plain
+    value as its 1-tuple, a bytes row as the tuple of its ints."""
+    if len(keys) != 1 and isinstance(next(iter(counts), ()), tuple):
+        return counts
+    return Counter({(v,) if len(keys) == 1 else tuple(v): c for v, c in counts.items()})
 
 
-def joint_distribution(perms: Iterable[Word], names) -> dict[tuple, int]:
-    """The joint distribution of the named statistics over perms, any words
-    of distinct letters: a count map {value tuple: count}, for several names
-    the Counter that counted them (0 at a value tuple that never occurs).
-    Every rmaj:r named is read off one rawlings profile per word, cut at the
-    largest r: O(n r) per word."""
-    names = tuple(names)
+def count_rows(perms: Iterable[Word], names: Keys) -> Counter:
+    """The named statistics' values over perms, any words of distinct
+    letters, as _count counts them. Every rmaj:r named is read off one
+    rawlings profile per word, cut at the largest r: O(n r) per word."""
     for name in names:  # Columns would also read other keys, and rmaj:0 as rmaj:n
         stats.resolve_statistic(name)
     top = max((int(name[5:]) for name in names if name.startswith("rmaj:")), default=None)
@@ -333,7 +351,15 @@ def joint_distribution(perms: Iterable[Word], names) -> dict[tuple, int]:
     counts: Counter = Counter()
     for chunk in _chunks(perms):
         _count(counts, Columns(chunk, {}, plan), names)
-    return _keyed(counts, names)
+    return counts
+
+
+def joint_distribution(perms: Iterable[Word], names) -> Counter:
+    """The joint distribution of the named statistics over perms: the
+    Counter {value tuple: count} of count_rows (0 at a value tuple that
+    never occurs)."""
+    names = tuple(names)
+    return _keyed(count_rows(perms, names), names)
 
 
 def distributions_equal(a: dict, b: dict) -> tuple[bool, tuple | None]:

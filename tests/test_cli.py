@@ -337,6 +337,26 @@ class TestTableCommand:
         assert code == 0
         assert out == expected
 
+    @pytest.mark.parametrize("value", [-1, 256])
+    def test_a_value_outside_a_byte_prints_the_rows_of_a_direct_count(
+            self, capsys, monkeypatch, value):
+        """des planted to return value on 31524, which no bytes row holds:
+        the table counts tuples and prints them sorted, as from a tuple per
+        permutation."""
+        real = stats.des
+
+        def planted(p):
+            return value if p == (3, 1, 5, 2, 4) else real(p)
+
+        monkeypatch.setattr(stats, "des", planted)
+        monkeypatch.setitem(stats.REGISTRY, "des", (planted, False))
+        counts = Counter((planted(p), stats.inv(p), stats.maj(p)) for p in all_perms(5))
+        expected = "des,inv,maj,count\n" + "".join(
+            ",".join(map(str, (*v, c))) + "\n" for v, c in sorted(counts.items()))
+        code, out, _ = run(capsys, "table", "--n", "5", "--stats", "des,inv,maj", "--format", "csv")
+        assert code == 0
+        assert out == expected and f"\n{value}," in out
+
     def test_json_rows_sorted(self, capsys):
         code, out, _ = run(capsys, "table", "--n", "4", "--stats", "maj", "--format", "json")
         assert code == 0

@@ -98,6 +98,9 @@ class TestJointDistribution:
         dist = joint_distribution(all_permutations(0), ["des", "aid"])
         assert dist == {(0, 0): 1}
 
+    def test_one_name_reads_zero_where_a_value_never_occurs(self):
+        assert joint_distribution(all_permutations(3), ["des"])[(5,)] == 0
+
     def test_accepts_plain_iterable(self):
         dist = joint_distribution([(2, 1), (1, 2)], ["inv"])
         assert dist == {(0,): 1, (1,): 1}
@@ -318,6 +321,18 @@ class TestChunks:
         assert joint_distribution(perms, ["inv"]) == mahonian(7)
         assert next(perms, None) is None
         assert joint_distribution(iter(all_permutations(7)), []) == {(): 5040}
+
+    def test_a_run_that_stops_fitting_a_byte_partway(self):
+        """Rows are counted as bytes until ini reads 300 on a word in the
+        middle of S_6's third chunk; from there on, and for what was counted
+        before, the rows are tuples, and every object is counted once."""
+        word = (300, 1, 2, 3, 4, 5)
+        words = [*all_permutations(6), word, *all_permutations(6)]
+        assert 720 > 2 * equidist.CHUNK and 720 % equidist.CHUNK
+        counts = joint_distribution(iter(words), ["ini", "des"])
+        assert counts == Counter((stats.ini(w), stats.des(w)) for w in words)
+        assert sum(counts.values()) == 1441 and counts[300, 1] == 1
+        assert {type(row) for row in counts} == {tuple}
 
     #: f(5, 4137) planted to insert 5 into 7143: the 301st lemma word of
     #: length 4 fails lemma2 and lemma4 at k = 5, and as sigma lemma 6 at
