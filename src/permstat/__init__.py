@@ -5,11 +5,12 @@ Words are tuples of distinct naturals in one-line notation; permutations of
 size n use the letters 1..n. See `permstat.stats` for the statistic registry,
 `permstat.bijections` for phi and psi, and `permstat.equidist` for the
 enumeration and verification engine.
+
+Importing the package loads no submodule. Each one, and each name of
+`__all__`, is imported from its module the first time it is read (PEP 562),
+so a caller of `stats` or `bijections` alone never compiles the engine.
 """
-from . import bijections, core, equidist, stats
-from .bijections import avoids, f_insert, f_uninsert, phi, phi_inverse, psi
-from .equidist import verify_suite
-from .stats import REGISTRY
+import importlib
 
 __all__ = [
     "REGISTRY",
@@ -25,3 +26,20 @@ __all__ = [
     "stats",
     "verify_suite",
 ]
+
+_HOMES = {"REGISTRY": "stats", "verify_suite": "equidist"} | dict.fromkeys(
+    ("avoids", "f_insert", "f_uninsert", "phi", "phi_inverse", "psi"), "bijections")
+
+
+def __getattr__(name):
+    """A submodule by its name, or a name of `__all__` from its home module."""
+    home = _HOMES.get(name, name)
+    if home.isidentifier():  # importing a dotted or empty name raises for another module
+        try:
+            module = importlib.import_module(f"{__name__}.{home}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{home}":
+                raise
+        else:
+            return module if home == name else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

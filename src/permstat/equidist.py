@@ -627,9 +627,9 @@ def verify_suite(n_max: int, suite: str = "all") -> dict:
     the number of permutations or words it examined, and, on failure, a
     counterexample payload. A claim that examined nothing fails.
     """
-    _check_size(n_max)
     if suite != "all" and suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
+    _check_size(n_max)
     start = time.perf_counter()
     claims = [c for c in CLAIMS if suite in ("all", c.suite)]
     spent: dict[str, tuple] = {}

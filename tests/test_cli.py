@@ -1,17 +1,19 @@
 import csv
+import importlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from helpers import all_perms
 
-from permstat import stats
+from permstat import equidist, stats
 from permstat.cli import main
 from permstat.equidist import all_permutations, distributions_equal, joint_distribution
 
@@ -213,10 +215,18 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["passed"] is True and report["schema"] == 3
 
-    def test_cap_exceeded_exit_2(self, capsys):
+    def test_cap_exceeded_exit_2(self, capsys, monkeypatch):
+        monkeypatch.delenv("PERMSTAT_NMAX", raising=False)
         code, _, err = run(capsys, "verify", "--n", "11", "--suite", "psi")
         assert code == 2
-        assert "PERMSTAT_NMAX" in err
+        assert err == "error: n=11 exceeds the cap 10 (raise PERMSTAT_NMAX to override)\n"
+
+    @pytest.mark.parametrize("argv", [(), ("--n", "11")])
+    def test_an_unknown_suite_is_a_usage_error_that_lists_the_suites(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--suite", "bogus")
+        assert code == 1 and out == ""
+        assert "'bogus'" in err
+        assert all(repr(suite) in err for suite in equidist.SUITES)
 
     def test_env_raises_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMSTAT_NMAX", "3")
@@ -227,10 +237,8 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_failing_claim_exits_3(self, capsys, monkeypatch):
-        from permstat import cli
-
-        monkeypatch.setitem(
-            cli.__dict__,
+        monkeypatch.setattr(
+            equidist,
             "verify_suite",
             lambda n, suite: {
                 "schema": 3,
@@ -420,16 +428,38 @@ def test_csv_only_on_commands_that_print_rows(capsys, argv):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+    assert main(["verify", "--help"]) == 0
 
 
 def test_import_leaves_dataclasses_out():
-    # -S skips site, whose own imports could pull dataclasses in
+    # -S skips site, whose own imports could pull dataclasses in; building the
+    # parser loads no statistic, bijection or engine either
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import permstat.cli; "
-            "print('dataclasses' in sys.modules)")
+            "permstat.cli.build_parser(); print(sorted({'dataclasses', 'permstat.equidist', "
+            "'permstat.stats', 'permstat.bijections'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
                          capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
+    assert out == "[]\n"
+
+
+def test_the_package_exports_each_name_from_its_home_module():
+    import permstat
+    from permstat import bijections
+
+    homes = {"REGISTRY": stats, "verify_suite": equidist}
+    starred = {}
+    exec("from permstat import *", starred)
+    for name in permstat.__all__:
+        exported = getattr(permstat, name)
+        if isinstance(exported, types.ModuleType):
+            assert exported is importlib.import_module(f"permstat.{name}")
+        else:
+            assert exported is getattr(homes.get(name, bijections), name), name
+        assert starred[name] is exported
+    for name in ("bogus", "cli.bogus", "a.b", "."):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(permstat, name)
 
 
 @pytest.mark.parametrize("argv, nmax, code", [
