@@ -28,18 +28,13 @@ __all__ = [
 ]
 
 _HOMES = {"REGISTRY": "stats", "verify_suite": "equidist"} | dict.fromkeys(
-    ("avoids", "f_insert", "f_uninsert", "phi", "phi_inverse", "psi"), "bijections")
+    ("avoids", "f_insert", "f_uninsert", "phi", "phi_inverse", "psi"), "bijections") | {
+    module: module for module in ("bijections", "cli", "core", "equidist", "errors", "stats")}
 
 
 def __getattr__(name):
     """A submodule by its name, or a name of `__all__` from its home module."""
-    home = _HOMES.get(name, name)
-    if home.isidentifier():  # importing a dotted or empty name raises for another module
-        try:
-            module = importlib.import_module(f"{__name__}.{home}")
-        except ModuleNotFoundError as exc:
-            if exc.name != f"{__name__}.{home}":
-                raise
-        else:
-            return module if home == name else getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_HOMES[name]}")
+    return module if _HOMES[name] == name else getattr(module, name)

@@ -1,7 +1,8 @@
 """Command-line front end: statistics, bijections, verification, tables.
 
 Exit codes: 0 success, 1 usage or parse error, 2 enumeration cap exceeded,
-3 verification failure. Data goes to stdout, diagnostics to stderr.
+3 verification failure (a claim, or a `map --phi-inverse --trace` fold
+that misses the input). Data goes to stdout, diagnostics to stderr.
 
 Building the parser loads only `core` and `errors`. Each command imports the
 module it runs when it runs, and reads its names there at call time: `stats`
@@ -77,6 +78,10 @@ def cmd_map(args) -> int:
     elif args.trace:  # the insertions of the fold from the preimage to the image
         source = bijections.phi_inverse(p) if args.phi_inverse else p
         folded, traces = bijections.phi_with_traces(source)
+        if args.phi_inverse and folded != p:  # the trace would be of another fold
+            print(f"error: the preimage {format_word(source)} folds to {format_word(folded)}, "
+                  f"not to the input {format_word(p)}", file=sys.stderr)
+            return 3
         image = source if args.phi_inverse else folded
         trace = [list(rules) for rules in traces]
         lines = [f"insert {k}: {','.join(rules)}" for k, rules in zip(reversed(source), traces)]

@@ -183,8 +183,8 @@ def _plan(key: str, size: int, top: int | None, words: WordMemo | None) -> tuple
 class Columns(dict):
     """The values the claims read over a table of rows of one size: per key
     a column computed on first use as plan(key, size) says, "p" holding the
-    rows' words. domains maps every column to its rows, those of its image
-    or, where its plan has a test, those that pass it. spent maps each key
+    rows' words. domains maps each column whose test keeps some of p's
+    words (or of such a column's) to the rows it keeps. spent maps each key
     to (objects, seconds), objects counting its rows, seconds the test's
     too. With a Memo the rows are S_n from rank start on, and a statistic
     the memo holds is a slice of it, of p, or read at an image's ranks.
@@ -195,16 +195,14 @@ class Columns(dict):
                  memo: Memo | None = None, start: int = 0):
         super().__init__(p=objects)
         self.spent, self.plan, self.memo, self.start, self.ranks = spent, plan, memo, start, {}
-        self.size = len(objects[0]) if objects else 0
-        self.domains = dict.fromkeys(("", "p"), range(len(objects)))
-        self.origin, self.parent, self.links = self.domains[""], None, {}
+        self.size, self.domains = len(objects[0]) if objects else 0, {}
+        self.origin, self.parent, self.links = range(len(objects)), None, {}
 
     def _linked(self, links: dict, **columns) -> Columns:
         """A table of self's rows links[""], with columns, linked to self."""
         up = links[""]
         table = Columns([*map(self["p"].__getitem__, up)], self.spent, self.plan)
         table.update(columns)
-        table.domains.update(dict.fromkeys(columns, table.domains[""]))
         table.origin, table.parent, table.links = [*map(self.origin.__getitem__, up)], self, links
         return table
 
@@ -234,11 +232,6 @@ class Columns(dict):
             self.ranks[image] = self.memo.ranks(self[image])
         return self.ranks[image]
 
-    def at(self, key: str, rows: list) -> Iterator:
-        """key's values on all the table's rows or some; row claims read no domain."""
-        column = self[key]
-        return iter(column) if rows is self.domains[""] else map(column.__getitem__, rows)
-
     def __missing__(self, key: str) -> list | array:
         image, name, fn, test, letters = self.plan(key, self.size)
         if letters in self.links:  # the value of a linked row, computed there
@@ -251,12 +244,13 @@ class Columns(dict):
         start = time.perf_counter()
         if test:
             passes = [*map(test, words)]
-            self.domains[key] = [*itertools.compress(self.domains[image], passes)]
+            if not image or image in self.domains:  # p's words on fewer rows
+                rows = self.domains.get(image, itertools.count())
+                self.domains[key] = [*itertools.compress(rows, passes)]
             words = [*itertools.compress(words, passes)]
-        self.domains.setdefault(key, self.domains[image])
         memo = self.memo if name in stats.REGISTRY else None
         values = None if memo is None else memo.statistic(name, fn)
-        if image and name in self and self.plan(image, self.size)[2] is None:
+        if name in self and image in self.domains:
             column = [*map(self[name].__getitem__, self.domains[image])]  # p's, on image's rows
         elif values is not None and not image:
             column = values[self.start:self.start + len(words)]
@@ -378,11 +372,11 @@ class Pointwise(NamedTuple):
     """holds is true on every row of each size from n_min to n_max, in the
     table over names: "" the objects, "p" the pairs (w, k), "fl" or "gl" the
     triples (Columns.pairs, triples). holds is a key, an int, or (op,
-    *args), op mapped at C level over its arguments' values, compiled once
-    and called once per table; an implication (le, a, b) reads b only where
-    a holds on some row. The witness is the first failing row: the first
-    object in enumeration order (lemma words shortest first), then its
-    smallest letters; shown lists its fields, each a key or keys."""
+    *args), op mapped at C level over its arguments' values on all the
+    table's rows, compiled once and called once per table. The witness is
+    the first failing row: the first object in enumeration order (lemma
+    words shortest first), then its smallest letters; shown lists its
+    fields, each a key or keys."""
 
     label: str
     suite: str
@@ -395,20 +389,19 @@ class Pointwise(NamedTuple):
 
     def failure(self, columns: Columns) -> tuple | None:
         """(object, witness) of the table's first failing row, or None."""
-        rows = columns.domains[""]
-        i = next(itertools.compress(rows, map(not_, _compiled(self.holds)(columns, rows))), None)
-        if i is None:
+        failing = map(not_, _compiled(self.holds)(columns))
+        if (i := next(itertools.compress(itertools.count(), failing), None)) is None:
             return None
         return columns.origin[i], {
-            field: tuple(next(columns.at(k, [i])) for k in keys) if isinstance(keys, tuple)
-            else next(columns.at(keys, [i])) for field, keys in self.shown}
+            field: tuple(columns[k][i] for k in keys) if isinstance(keys, tuple)
+            else columns[keys][i] for field, keys in self.shown}
 
 
 class Tallied(NamedTuple):
     """A claim decided at the end of each size from n_min: conclude(n, counts)
     returns the witness, or None, from the count maps of tallies(n). A tally
     is a tuple of keys; its count map counts their value tuples over the
-    permutations of one size (of a key's domain, where it has one)."""
+    permutations of one size (those its test keeps, for a filtered key)."""
 
     label: str
     suite: str
@@ -429,23 +422,15 @@ class Involution(NamedTuple):
 
 @functools.cache
 def _compiled(expr) -> Callable:
-    """A Pointwise expression as a function of (columns, rows): its values
-    over those rows of the table. One function per expression, so the cache
-    holds the sub-expressions of CLAIMS."""
+    """A Pointwise expression as a function of a table: its values on the
+    table's rows. One function per expression, so the cache holds the
+    sub-expressions of CLAIMS."""
     if isinstance(expr, str):
-        return lambda columns, rows: columns.at(expr, rows)
+        return itemgetter(expr)
     if isinstance(expr, int):
-        return lambda columns, rows: itertools.repeat(expr)
+        return lambda columns: itertools.repeat(expr, len(columns["p"]))
     op, args = expr[0], [_compiled(arg) for arg in expr[1:]]
-    if op is not le:
-        return lambda columns, rows: map(op, *[a(columns, rows) for a in args])
-    premise, then = args
-
-    def implies(columns, rows):
-        holds = [*premise(columns, rows)]
-        return map(le, holds, then(columns, rows)) if any(holds) else map(not_, holds)
-
-    return implies
+    return lambda columns: map(op, *[a(columns) for a in args])
 
 
 def _equidistributed(label, suite, base: Keys, sides, tag=None, n_min=0) -> Tallied:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from helpers import all_perms
 
-from permstat import equidist, stats
+from permstat import bijections, equidist, stats
 from permstat.cli import main
 from permstat.equidist import all_permutations, distributions_equal, joint_distribution
 
@@ -187,6 +187,17 @@ class TestMapCommand:
             _, forward, _ = run(capsys, "map", "--phi", perm, "--trace", "--format", "json")
             _, back, _ = run(capsys, "map", "--phi-inverse", image, "--trace", "--format", "json")
             assert json.loads(back)["trace"] == json.loads(forward)["trace"]
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_a_phi_inverse_trace_whose_fold_misses_the_input_fails(self, capsys, monkeypatch, fmt):
+        # the peeling planted to rotate its output: the preimage of 31524 is
+        # 51423, whose fold ends at 52431, so no trace of it is printed
+        real = bijections._uninsert
+        monkeypatch.setattr(bijections, "_uninsert",
+                            lambda kids, count: (lambda out: out[1:] + out[:1])(real(kids, count)))
+        code, out, err = run(capsys, "map", "--phi-inverse", "31524", "--trace", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == "error: the preimage 51423 folds to 52431, not to the input 31524\n"
 
     def test_exactly_one_direction_required(self, capsys):
         code, _, _ = run(capsys, "map", "312")

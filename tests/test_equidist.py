@@ -682,6 +682,65 @@ class TestMemo:
         assert values["aid"] == values["des"] == len(LEMMA_WORDS) + 1 == 3621
 
 
+class TestCompiled:
+    """A row claim compiles to a function of a whole table; its values, and
+    those of each sub-expression, are the expression evaluated one row at a
+    time, implications included."""
+
+    @staticmethod
+    def tables(over):
+        """The chunk table of S_5, or the tables that over names (pairs or
+        triples) of the lemma words of each length up to 3."""
+        plan = functools.cache(lambda key, size: equidist._plan(key, size, None, None))
+        if not over:
+            return [equidist.Columns([*all_permutations(5)], {}, plan, equidist.Memo(5))]
+        return [equidist._table({"": equidist.Columns([*equidist._words(n)], {}, plan)}, over)
+                for n in range(4)]
+
+    @staticmethod
+    def at_row(expr, columns, i):
+        if isinstance(expr, str):
+            return columns[expr][i]
+        if isinstance(expr, int):
+            return expr
+        op, *args = expr
+        return op(*(TestCompiled.at_row(arg, columns, i) for arg in args))
+
+    @pytest.mark.parametrize("claim", [c for c in equidist.CLAIMS
+                                       if isinstance(c, equidist.Pointwise)],
+                             ids=lambda c: c.label)
+    def test_each_row_claim_matches_a_row_by_row_oracle(self, claim):
+        def nodes(expr):
+            yield expr
+            for arg in expr[1:] if isinstance(expr, tuple) else ():
+                yield from nodes(arg)
+
+        rows = 0
+        for columns in self.tables(claim.over):
+            count = len(columns["p"])
+            for expr in nodes(claim.holds):
+                assert [*equidist._compiled(expr)(columns)] == [
+                    self.at_row(expr, columns, i) for i in range(count)], expr
+            rows += count
+        # 8 - n letters k lack a word of length n, and 7 - n of them f(l, sigma)
+        assert rows == {"": 120, "p": 8 + 49 + 252 + 1050,
+                        "fl": 56 + 294 + 1260 + 4200, "gl": 56 + 294 + 1260 + 4200}[claim.over]
+
+    def test_a_filtered_image_reads_its_own_words(self):
+        """A statistic over a filtered column of p's words is p's, read on
+        the rows it keeps; over a filtered column of images, it is the
+        images' own."""
+        columns = self.tables("")[0]
+        perms, psi, inv = columns["p"], columns["psi"], columns["inv"]
+        assert columns["avoider321.psi"] == [
+            q for p, q in zip(perms, psi) if bijections.avoids(p, "321")]
+        assert columns["avoider321.inv"] == [
+            i for p, i in zip(perms, inv) if bijections.avoids(p, "321")]
+        assert columns["psi.avoider312.inv"] == [
+            stats.inv(q) for q in psi if bijections.avoids(q, "312")]
+        assert set(columns.domains) == {"avoider321"}
+
+
 def lemmas_pass(report):
     """Whether every claim of the lemma run passed."""
     return all(c["status"] == "pass" for c in report["claims"] if "len<=" in c["n_range"])
