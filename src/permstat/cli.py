@@ -4,16 +4,14 @@ Exit codes: 0 success, 1 usage or parse error, 2 enumeration cap exceeded,
 3 verification failure (a claim, or a `map --phi-inverse --trace` fold
 that misses the input). Data goes to stdout, diagnostics to stderr.
 
-Building the parser loads only `core` and `errors`. Each command imports the
-module it runs when it runs, and reads its names there at call time: `stats`
-for stats, `bijections` for map, and the engine, `equidist`, for verify and
-table, which checks --suite itself.
+Building the parser loads `argparse`, `core` and `errors` only. A command
+imports what it runs, and reads its names there at call time: `stats` for
+stats, `bijections` for map, the engine (`equidist`, which checks --suite)
+for verify and table, and `json` or `csv` for the formats that print with them.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
 from .core import format_word, is_permutation, parse_permutation, parse_word
@@ -46,17 +44,17 @@ def cmd_stats(args) -> int:
         names = _names(args.names)
     else:  # the registry statistics that apply to word, in registry order
         perm = is_permutation(word)
-        names = [
-            name for name, (_, perm_only) in stats.REGISTRY.items()
-            if (perm or not perm_only) and (word or name != "ini")
-        ]
+        names = [name for name, (_, perm_only) in stats.REGISTRY.items()
+                 if (perm or not perm_only) and (word or name != "ini")]
         if not perm:
             print("note: input is not a permutation of 1..n; "
                   "permutation-only statistics omitted", file=sys.stderr)
     vector = stats.stat_vector(word, names)
     if args.format == "json":
+        import json
         print(json.dumps({"word": format_word(word), "stats": dict(vector)}))
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow([name for name, _ in vector])
         writer.writerow([value for _, value in vector])
@@ -88,6 +86,7 @@ def cmd_map(args) -> int:
     else:
         image = (bijections.phi_inverse if args.phi_inverse else bijections.phi)(p)
     if args.format == "json":
+        import json
         out = {"input": format_word(p), "output": format_word(image)}
         if trace is not None:
             out["trace"] = trace
@@ -98,6 +97,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     from . import equidist
 
     report = equidist.verify_suite(args.n, args.suite)
@@ -105,10 +106,8 @@ def cmd_verify(args) -> int:
         print(json.dumps(report))
     else:
         for claim in report["claims"]:
-            line = (
-                f"{claim['status'].upper():4s} {claim['claim']} [{claim['n_range']}]"
-                f" checked={claim['checked']}"
-            )
+            line = (f"{claim['status'].upper():4s} {claim['claim']} [{claim['n_range']}]"
+                    f" checked={claim['checked']}")
             if claim["witness"] is not None:
                 line += f" witness={json.dumps(claim['witness'])}"
             print(line)
@@ -132,12 +131,14 @@ def cmd_table(args) -> int:
     counts = (equidist.count_rows if len(names) > 1 else equidist.joint_distribution)(perms, names)
     values = sorted(counts)  # distinct, so sorting (value, count) pairs would order the same
     if args.format == "json":
+        import json
         print(json.dumps({
             "stats": names, "n": args.n, "source": args.source,
             "rows": [[list(value), counts[value]] for value in values],
             "total": sum(counts.values()),
         }))
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(names + ["count"])
         writer.writerows([*value, counts[value]] for value in values)

@@ -13,19 +13,16 @@ new tuple.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import DuplicateLetter, EmptyWord, NotAPermutation, ParseError
 
 Word = tuple[int, ...]
 BELOW = float("-inf")  # lies below every letter
 
-
-class LeftToRightMaxima(NamedTuple):
-    """Positions (1-based, increasing) and values of the left-to-right maxima."""
-
-    positions: tuple[int, ...]
-    values: tuple[int, ...]
+LeftToRightMaxima = namedtuple("LeftToRightMaxima", "positions values")
+LeftToRightMaxima.__doc__ = "Positions (1-based, increasing) and values of left-to-right maxima."
 
 
 def make_word(letters: Iterable[int]) -> Word:
@@ -62,8 +59,7 @@ def inverse(p: Word) -> Word:
 
 def left_to_right_maxima(w: Word) -> LeftToRightMaxima:
     """Positions i with w(i) > w(j) for all j < i, and their values."""
-    positions: list[int] = []
-    values: list[int] = []
+    positions, values = [], []
     best = w[0] - 1 if w else 0  # below the first letter, which is a maximum
     for i, x in enumerate(w, start=1):
         if x > best:

@@ -232,6 +232,12 @@ class Columns(dict):
             self.ranks[image] = self.memo.ranks(self[image])
         return self.ranks[image]
 
+    def rows(self, key: str) -> list:
+        """The chunk's rows key's column holds: its longest prefix's in domains, else all."""
+        while key and key not in self.domains:
+            key = key.rpartition(".")[0]
+        return self.domains[key] if key else [*range(len(self["p"]))]
+
     def __missing__(self, key: str) -> list | array:
         image, name, fn, test, letters = self.plan(key, self.size)
         if letters in self.links:  # the value of a linked row, computed there
@@ -305,11 +311,14 @@ def _count(counts: Counter, columns: Columns, keys: Keys) -> None:
     bytes row per object, a byte per value (struct "B", which makes no
     tuple). At the first row with a value outside 0..255 the map is
     re-keyed as _keyed decodes it, and tuples are counted from that row on,
-    so a map never mixes bytes and tuples."""
+    so a map never mixes bytes and tuples. Keys that read different rows
+    (Columns.rows) raise ValueError."""
     if len(keys) == 1:
         counts.update(columns[keys[0]])
         return
-    values = [*map(columns.__getitem__, keys)]
+    values, rows = [*map(columns.__getitem__, keys)], [*map(columns.rows, keys)]
+    if any(r != rows[0] or len(r) != len(v) for r, v in zip(rows, values)):
+        raise ValueError(f"the keys {keys} do not read one known set of the chunk's rows")
     if not keys:  # every object's row is empty
         counts[b""] += len(columns["p"])
     elif isinstance(next(iter(counts), b""), tuple):

@@ -9,23 +9,17 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from operator import eq, gt, lt
-from typing import NamedTuple
 
 from .core import BELOW, Word, is_permutation
 # bench/tracing.py patches these names until ROADMAP item 1 retargets it
 from .core import inverse, split_at_min  # noqa: F401
 from .errors import EmptyWord, InvalidR, UnknownStatistic, WordNotPermutation
 
-
-class HookFactorization(NamedTuple):
-    """w = pi0 . hooks[0] . ... . hooks[-1] with pi0 nondecreasing.
-
-    A hook h has length >= 2 and h(1) > h(2) <= h(3) <= ... <= h(r).
-    """
-
-    pi0: Word
-    hooks: tuple[Word, ...]
+HookFactorization = namedtuple("HookFactorization", "pi0 hooks")
+HookFactorization.__doc__ = """w = pi0 . hooks[0] . ... . hooks[-1] with pi0 nondecreasing,
+each hook h of length >= 2 with h(1) > h(2) <= h(3) <= ... <= h(r)."""
 
 
 # -- classic statistics ------------------------------------------------------

@@ -454,6 +454,20 @@ def test_import_leaves_dataclasses_out():
     assert out == "[]\n"
 
 
+@pytest.mark.parametrize("argv", [[], ["stats", "312"], ["map", "--phi", "312"]],
+                         ids=["parser", "stats", "map"])
+def test_a_light_start_loads_no_json_csv_or_typing(argv):
+    # under -S, as above: with no argv the child only builds the parser; stats
+    # and map print plain output, so neither needs the engine
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import permstat.cli; "
+            "permstat.cli.main(sys.argv[2:]) if sys.argv[2:] else permstat.cli.build_parser(); "
+            "print(sorted({'json', 'csv', 'typing', 'permstat.equidist'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src), *argv],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_the_package_exports_each_name_from_its_home_module():
     import permstat
     from permstat import bijections

@@ -740,6 +740,29 @@ class TestCompiled:
             stats.inv(q) for q in psi if bijections.avoids(q, "312")]
         assert set(columns.domains) == {"avoider321"}
 
+    @staticmethod
+    def s4_count(keys):
+        """_count of keys over the one chunk of S_4, as a count map of tuples."""
+        plan = functools.cache(lambda key, size: equidist._plan(key, size, None, None))
+        counts = Counter()
+        equidist._count(counts, equidist.Columns([*all_permutations(4)], {}, plan,
+                                                 equidist.Memo(4)), keys)
+        return equidist._keyed(counts, keys)
+
+    @pytest.mark.parametrize("keys", [("avoider321.inv", "des"),
+                                      ("avoider321.inv", "avoider312.inv")])
+    def test_a_tally_of_keys_on_different_rows_raises(self, keys):
+        """14 rows against 24, or 14 avoiders of 321 against 14 of 312: a
+        tally would pair values of different permutations."""
+        with pytest.raises(ValueError, match=re.escape(str(keys))):
+            self.s4_count(keys)
+
+    def test_a_tally_of_keys_on_one_domain_pairs_their_rows(self):
+        avoiders = [p for p in all_permutations(4) if bijections.avoids(p, "321")]
+        assert len(avoiders) == 14
+        assert self.s4_count(("avoider321.inv", "avoider321.des")) == Counter(
+            (stats.inv(p), stats.des(p)) for p in avoiders)
+
 
 def lemmas_pass(report):
     """Whether every claim of the lemma run passed."""
