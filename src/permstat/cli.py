@@ -7,7 +7,7 @@ that misses the input). Data goes to stdout, diagnostics to stderr.
 Building the parser loads `argparse`, `core` and `errors` only. A command
 imports what it runs, and reads its names there at call time: `stats` for
 stats, `bijections` for map, the engine (`equidist`, which checks --suite)
-for verify and table, and `json` or `csv` for the formats that print with them.
+for verify and table, and `json` for the format that prints with it.
 """
 from __future__ import annotations
 
@@ -53,11 +53,8 @@ def cmd_stats(args) -> int:
     if args.format == "json":
         import json
         print(json.dumps({"word": format_word(word), "stats": dict(vector)}))
-    elif args.format == "csv":
-        import csv
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow([name for name, _ in vector])
-        writer.writerow([value for _, value in vector])
+    elif args.format == "csv":  # names and ints, which csv would not quote
+        print(",".join(name for name, _ in vector), ",".join(str(v) for _, v in vector), sep="\n")
     else:
         print(" ".join(f"{name}={value}" for name, value in vector))
     return 0
@@ -115,36 +112,39 @@ def cmd_verify(args) -> int:
 
 
 _SOURCES = {"all": None, "avoid321": "321", "avoid312": "312"}
+#: per format: what joins a row's values, the row's template, what joins rows
+_ROWS = {"plain": (" ", "{} -> {}\n", ""), "csv": (",", "{},{}\n", ""),
+         "json": (", ", "[[{}], {}]", ", ")}
+_BLOCK = 128  # rows per write
 
 
 def cmd_table(args) -> int:
-    """Several names print from their rows as counted (count_rows): a bytes
-    row iterates and sorts as its tuple would, so none is decoded. One
-    name's few values print from joint_distribution's 1-tuples."""
+    """Several names count their rows as bytes (count_rows), one name as
+    1-tuples (joint_distribution). Every format prints the sorted rows by one
+    template, _BLOCK rows a write; JSON's stream between its fixed fields."""
     from . import bijections, equidist
 
     names = _names(args.stats)
-    perms = equidist.all_permutations(args.n)
-    pattern = _SOURCES[args.source]
+    perms, pattern = equidist.all_permutations(args.n), _SOURCES[args.source]
     if pattern is not None:
         perms = (p for p in perms if bijections.avoids(p, pattern))
     counts = (equidist.count_rows if len(names) > 1 else equidist.joint_distribution)(perms, names)
     values = sorted(counts)  # distinct, so sorting (value, count) pairs would order the same
+    digits = [str(i) for i in range(256)]  # a byte's; a tuple's values go through str
+    text = str if isinstance(next(iter(values), ()), tuple) else digits.__getitem__
+    join, row, between = _ROWS[args.format]
     if args.format == "json":
         import json
-        print(json.dumps({
-            "stats": names, "n": args.n, "source": args.source,
-            "rows": [[list(value), counts[value]] for value in values],
-            "total": sum(counts.values()),
-        }))
+        fields = json.dumps({"stats": names, "n": args.n, "source": args.source})
+        sys.stdout.write(fields[:-1] + ', "rows": [')
     elif args.format == "csv":
-        import csv
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(names + ["count"])
-        writer.writerows([*value, counts[value]] for value in values)
-    else:
-        for value in values:
-            print(" ".join(str(v) for v in value) + f" -> {counts[value]}")
+        sys.stdout.write(",".join(names + ["count"]) + "\n")
+    for start in range(0, len(values), _BLOCK):
+        block = between.join([row.format(join.join(map(text, value)), counts[value])
+                              for value in values[start:start + _BLOCK]])
+        sys.stdout.write(between + block if start else block)
+    if args.format == "json":
+        sys.stdout.write(f'], "total": {sum(counts.values())}}}\n')
     return 0
 
 

@@ -232,11 +232,14 @@ class Columns(dict):
             self.ranks[image] = self.memo.ranks(self[image])
         return self.ranks[image]
 
-    def rows(self, key: str) -> list:
-        """The chunk's rows key's column holds: its longest prefix's in domains, else all."""
-        while key and key not in self.domains:
+    def rows(self, key: str) -> list | str:
+        """The chunk's rows a computed key's column holds: those of its
+        longest prefix whose plan has a test, as domains gives them, else
+        that prefix's key, as its test keeps some of an image's words
+        ("psi.avoider312" of "psi.avoider312.inv"); with no such prefix, all."""
+        while key and not self.plan(key, self.size)[3]:
             key = key.rpartition(".")[0]
-        return self.domains[key] if key else [*range(len(self["p"]))]
+        return self.domains.get(key, key) if key else [*range(len(self["p"]))]
 
     def __missing__(self, key: str) -> list | array:
         image, name, fn, test, letters = self.plan(key, self.size)
@@ -317,7 +320,7 @@ def _count(counts: Counter, columns: Columns, keys: Keys) -> None:
         counts.update(columns[keys[0]])
         return
     values, rows = [*map(columns.__getitem__, keys)], [*map(columns.rows, keys)]
-    if any(r != rows[0] or len(r) != len(v) for r, v in zip(rows, values)):
+    if any(r != rows[0] or len(v) != len(values[0]) for r, v in zip(rows, values)):
         raise ValueError(f"the keys {keys} do not read one known set of the chunk's rows")
     if not keys:  # every object's row is empty
         counts[b""] += len(columns["p"])

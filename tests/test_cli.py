@@ -356,12 +356,13 @@ class TestTableCommand:
         assert code == 0
         assert out == expected
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     @pytest.mark.parametrize("value", [-1, 256])
     def test_a_value_outside_a_byte_prints_the_rows_of_a_direct_count(
-            self, capsys, monkeypatch, value):
+            self, capsys, monkeypatch, value, fmt):
         """des planted to return value on 31524, which no bytes row holds:
         the table counts tuples and prints them sorted, as from a tuple per
-        permutation."""
+        permutation, in every format."""
         real = stats.des
 
         def planted(p):
@@ -370,11 +371,21 @@ class TestTableCommand:
         monkeypatch.setattr(stats, "des", planted)
         monkeypatch.setitem(stats.REGISTRY, "des", (planted, False))
         counts = Counter((planted(p), stats.inv(p), stats.maj(p)) for p in all_perms(5))
-        expected = "des,inv,maj,count\n" + "".join(
-            ",".join(map(str, (*v, c))) + "\n" for v, c in sorted(counts.items()))
-        code, out, _ = run(capsys, "table", "--n", "5", "--stats", "des,inv,maj", "--format", "csv")
+        rows = sorted(counts.items())
+        if fmt == "json":
+            expected = json.dumps({"stats": ["des", "inv", "maj"], "n": 5, "source": "all",
+                                   "rows": [[list(v), c] for v, c in rows], "total": 120}) + "\n"
+            first = f"[[{value}, "
+        elif fmt == "csv":
+            expected = "des,inv,maj,count\n" + "".join(
+                ",".join(map(str, (*v, c))) + "\n" for v, c in rows)
+            first = f"\n{value},"
+        else:
+            expected = "".join(" ".join(map(str, v)) + f" -> {c}\n" for v, c in rows)
+            first = f"{value} "
+        code, out, _ = run(capsys, "table", "--n", "5", "--stats", "des,inv,maj", "--format", fmt)
         assert code == 0
-        assert out == expected and f"\n{value}," in out
+        assert out == expected and first in out
 
     def test_json_rows_sorted(self, capsys):
         code, out, _ = run(capsys, "table", "--n", "4", "--stats", "maj", "--format", "json")

@@ -750,10 +750,12 @@ class TestCompiled:
         return equidist._keyed(counts, keys)
 
     @pytest.mark.parametrize("keys", [("avoider321.inv", "des"),
-                                      ("avoider321.inv", "avoider312.inv")])
+                                      ("avoider321.inv", "avoider312.inv"),
+                                      ("psi.avoider312.inv", "des")])
     def test_a_tally_of_keys_on_different_rows_raises(self, keys):
-        """14 rows against 24, or 14 avoiders of 321 against 14 of 312: a
-        tally would pair values of different permutations."""
+        """14 rows against 24, or 14 avoiders of 321 against 14 of 312, or
+        14 images against 24 rows: a tally would pair values of different
+        permutations."""
         with pytest.raises(ValueError, match=re.escape(str(keys))):
             self.s4_count(keys)
 
@@ -762,6 +764,15 @@ class TestCompiled:
         assert len(avoiders) == 14
         assert self.s4_count(("avoider321.inv", "avoider321.des")) == Counter(
             (stats.inv(p), stats.des(p)) for p in avoiders)
+
+    def test_a_tally_of_keys_on_one_filtered_image_pairs_its_words(self):
+        """psi.avoider312 keeps 14 images, which are no rows of p: both keys
+        read its rows, named by its key."""
+        images = [q for q in map(bijections.psi, all_permutations(4))
+                  if bijections.avoids(q, "312")]
+        assert len(images) == 14
+        assert self.s4_count(("psi.avoider312.inv", "psi.avoider312.des")) == Counter(
+            (stats.inv(q), stats.des(q)) for q in images)
 
 
 def lemmas_pass(report):
