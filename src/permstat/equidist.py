@@ -158,15 +158,18 @@ def _plan(key: str, size: int, top: int | None, words: WordMemo | None) -> tuple
     the objects) where test, if any, passes (fn None keeps those words), an
     insertion's fn over its letter's column too; letters are those the key
     puts in ("lk" for "fl.fk.aix"). A key names a value of w ("inv", "gk"
-    is k w, "avoider321" is w where it avoids 321) or of an image ("phi.aid"
-    is aid(phi(w))). rmaj:r is one itemgetter (len on ()) over the profiles
-    rawlings(w, None, top), cut at size. With words, fk and fl.fk take out
-    or keep their images. Functions are looked up on stats and bijections."""
+    is k w, "avoider321" is w where it avoids 321, "rank" w's Memo rank,
+    which Columns reads) or of an image ("phi.aid" is aid(phi(w))). rmaj:r
+    is one itemgetter (len on ()) over the profiles rawlings(w, None, top),
+    cut at size. With words, fk and fl.fk take out or keep their images.
+    Functions are looked up on stats and bijections."""
     image, _, name = key.rpartition(".")
     letters = "".join(part[1] for part in key.split(".") if part in _INSERTIONS)
     if name.startswith("rmaj:"):
         r = size if name == "rmaj:n" else min(int(name[5:]), size)
         return key[:-len(name)] + "rawlings", name, itemgetter(r - 1) if size else len, None, ""
+    if name == "rank":  # read by Columns.index
+        return image, name, None, None, ""
     if name in ("avoider321", "avoider312"):
         return image, name, None, lambda w, pattern=name[-3:]: bijections.avoids(w, pattern), ""
     if name in _INSERTIONS:
@@ -186,10 +189,11 @@ class Columns(dict):
     rows' words. domains maps each column whose test keeps some of p's
     words (or of such a column's) to the rows it keeps. spent maps each key
     to (objects, seconds), objects counting its rows, seconds the test's
-    too. With a Memo the rows are S_n from rank start on, and a statistic
-    the memo holds is a slice of it, of p, or read at an image's ranks.
-    origin maps each row to its object in the chunk; in a table of pairs or
-    triples, links maps letters a key puts in to the parent's rows of it."""
+    too. With a Memo the rows are S_n from rank start on, a statistic the
+    memo holds is a slice of it, of p, or read at an image's ranks, and
+    X.rank is index(X), else a rank or None per word. origin maps each row
+    to its object in the chunk; in a table of pairs or triples, links maps
+    letters a key puts in to the parent's rows of it."""
 
     def __init__(self, objects: list, spent: dict, plan: Callable,
                  memo: Memo | None = None, start: int = 0):
@@ -265,6 +269,8 @@ class Columns(dict):
             column = values[self.start:self.start + len(words)]
         elif values is not None and self.index(image) is not None:
             column = [*map(values.__getitem__, self.ranks[image])]
+        elif name == "rank":  # a word with no rank (only a broken psi makes one) gets None
+            column = self.index(image) or [(self.memo.ranks([w]) or [None])[0] for w in words]
         elif fn is None:
             column = words
         elif name in _INSERTIONS:  # the letter it puts in, then the word
@@ -412,8 +418,8 @@ class Pointwise(NamedTuple):
 class Tallied(NamedTuple):
     """A claim decided at the end of each size from n_min: conclude(n, counts)
     returns the witness, or None, from the count maps of tallies(n). A tally
-    is a tuple of keys; its count map counts their value tuples over the
-    permutations of one size (those its test keeps, for a filtered key)."""
+    is a tuple of keys; its count map counts their value tuples over S_n (the
+    words a filtered key keeps; kratt's count ranks, as "avoider312.rank")."""
 
     label: str
     suite: str
@@ -480,9 +486,9 @@ def _catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-_AVOID_321 = ("avoider321",)
-_AVOID_312 = ("avoider312",)
-_PSI_OF_AVOID_321 = ("avoider321.psi",)
+_AVOID_321 = ("avoider321.rank",)
+_AVOID_312 = ("avoider312.rank",)
+_PSI_OF_AVOID_321 = ("avoider321.psi.rank",)
 
 
 def _catalan_sizes(n: int, counts: dict):
@@ -492,8 +498,10 @@ def _catalan_sizes(n: int, counts: dict):
 
 def _psi_onto(n: int, counts: dict):
     image, target = counts[_PSI_OF_AVOID_321].keys(), counts[_AVOID_312].keys()
-    missing = [p for p, in sorted(target - image)[:3]]
-    return None if image == target else {"n": n, "missing": missing}
+    if image == target:
+        return None
+    return {"n": n, "missing": [next(itertools.islice(all_permutations(n), r, None))
+                                for r, in sorted(target - image)[:3]]}  # ranks: lexicographic
 
 
 _WORDS = f"words len<={LEMMA_MAX_LEN} on {_ALPHABET_TEXT}, k<={_LETTERS[-1]}"
@@ -601,15 +609,17 @@ def _run(claims, n_max: int, objects: Callable[[int], Iterable[Word]], spent: di
             size += len(chunk)
             if not checks and not counts and not involution:
                 break
-        tables = None  # the last chunk's, which no conclusion reads
-        counts = {keys: _keyed(tally, keys) for keys, tally in counts.items()}
+        psi = memo.psi if involution else None  # of the memo, the conclusions read psi alone
+        memo = tables = None  # nor the last chunk's table
+        for keys, tally in counts.items():  # one map at a time held twice
+            counts[keys] = _keyed(tally, keys)
         for c in (c for c in live if found[c][0] is None):
             witness, examined = None, size
             if isinstance(c, Tallied):
                 witness = c.conclude(n, counts)
             elif isinstance(c, Involution):
                 start = time.perf_counter()
-                i = next((i for i, j in enumerate(memo.psi) if j < 0 or memo.psi[j] != i), None)
+                i = next((i for i, j in enumerate(psi) if j < 0 or psi[j] != i), None)
                 _charge(spent, "psi.psi", 0, start)
                 if i is not None:
                     witness, examined = {"perm": next(itertools.islice(objects(n), i, None))}, i + 1

@@ -259,7 +259,8 @@ class TestVerifySuite:
 
     def test_schema_3_values(self):
         values = verify_suite(4, "kratt")["values"]
-        assert list(values) == ["avoider321", "avoider312", "avoider321.psi"]
+        assert list(values) == ["avoider321", "avoider321.rank", "avoider312", "avoider312.rank",
+                                "avoider321.psi", "avoider321.psi.rank"]
         # the avoiders' columns, and psi over them, hold the 23 avoiders of size <= 4
         avoiders = sum(equidist._catalan(n) for n in range(5))
         assert avoiders == 23
@@ -661,6 +662,23 @@ class TestMemo:
                   for k in (keys if isinstance(keys, tuple) else (keys,))}
         assert retained < 160 * 2**10
         assert compiled <= len(parts)
+
+    def test_the_avoidance_tallies_hold_no_permutation(self):
+        """The kratt tallies count ranks: a warmed verify_suite(8, "kratt"),
+        traced in a fresh interpreter, peaks at about 814 KiB, 483 KiB of
+        it the rank tables of S_8, against about 931 KiB when the tallies
+        held the avoiders and psi's images as tuples (tracemalloc, Python
+        3.11.7)."""
+        code = ("import sys, tracemalloc; sys.path.insert(0, sys.argv[1]); "
+                "from permstat import equidist; equidist.verify_suite(8, 'kratt'); "
+                "tracemalloc.start(); report = equidist.verify_suite(8, 'kratt'); "
+                "print(report['passed'], tracemalloc.get_traced_memory()[1])")
+        src = Path(equidist.__file__).resolve().parent.parent
+        out = subprocess.run([sys.executable, "-c", code, str(src)],
+                             capture_output=True, text=True, check=True).stdout
+        passed, peak = out.split()
+        assert passed == "True"
+        assert int(peak) <= 870 * 2**10
 
     @pytest.mark.parametrize("chunk", [1, 7, 32, 256])
     def test_an_insertion_counts_the_words_that_lack_its_letter(self, monkeypatch, chunk):

@@ -69,7 +69,7 @@ def planted_reports():
     return reports
 
 
-@pytest.mark.parametrize("n, keys", [(0, 38), (8, 52)])
+@pytest.mark.parametrize("n, keys", [(0, 41), (8, 55)])
 def test_the_report_matches_the_pinned_one(request, n, keys):
     want = json.loads(fixture(f"verify_{n}").read_text())
     got = pinned(request.getfixturevalue("verify_8") if n == 8 else verify_suite(n))

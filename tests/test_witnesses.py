@@ -103,6 +103,22 @@ def test_kratt_missing_images(monkeypatch):
     }
 
 
+def test_kratt_missing_images_are_the_three_smallest(monkeypatch):
+    # psi is planted on five 321-avoiders of S_4: two go to the identity,
+    # two to psi(24135) = 24315, outside S_4, and one to psi(4321) = 4123,
+    # which contains 312; the witness is the first three of their own
+    # images in lexicographic order
+    outside = (2, 4, 1, 3, 5)
+    plant_map(monkeypatch, "psi", {(4, 1, 2, 3): outside, (3, 4, 1, 2): (1, 2, 3, 4),
+                                   (3, 1, 2, 4): (4, 3, 2, 1), (2, 4, 1, 3): outside,
+                                   (1, 4, 2, 3): (1, 2, 3, 4)})
+    assert witnesses(4, "kratt") == {
+        "avoidance classes have Catalan size": None,
+        "psi maps 321-avoiders onto 312-avoiders": {
+            "n": 4, "missing": [[1, 4, 3, 2], [2, 4, 3, 1], [3, 2, 1, 4]]},
+    }
+
+
 # -- word-level lemmas -------------------------------------------------------------
 
 WORDS = "words len<=5 on {1..7}, k<=8"
